@@ -48,7 +48,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "table":
             records = _run_table(args, cap)
         else:
-            return _run_verify(args, cap, out_stream(args))
+            return _run_verify(args, cap)
     except (PartitionParseError, ValueError, ArithmeticError, oracle.OracleCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -293,7 +293,7 @@ def _run_table(args, cap) -> list[dict]:
     return [data]
 
 
-def _run_verify(args, cap, stream) -> int:
+def _run_verify(args, cap) -> int:
     suites = list(verify.SUITES) if args.suite == "all" else [args.suite]
     effective_cap = oracle.DEFAULT_CAP if cap is None else cap
     if args.max_n > effective_cap:
@@ -304,6 +304,8 @@ def _run_verify(args, cap, stream) -> int:
         return 2
     records = verify.run_suites(suites, args.max_n, cap=cap)
     failures = [r for r in records if not r.ok]
+    # opened only now, so a refused or failed run leaves --out untouched
+    stream = out_stream(args)
     try:
         for record in records:
             if record.ok and args.quiet:

@@ -26,7 +26,13 @@ from math import comb, factorial
 from typing import Iterator, Literal
 
 from . import oracle as _oracle
-from .partitions import Composition, IntegerPartition, partitions_of, splits_of
+from .partitions import (
+    Composition,
+    IntegerPartition,
+    partitions_of,
+    partitions_with_length,
+    splits_of,
+)
 
 BaseValueSource = Literal["auto", "oracle", "closed_form"]
 
@@ -192,7 +198,7 @@ def p_base(
     if reading not in ("minus", "plus"):
         raise ValueError(f"reading must be 'minus' or 'plus', got {reading!r}")
     # separating one element constrains nothing, exactly like m = 0, and
-    # the tuple sum below presumes there is a first constrained element
+    # the tuple sum presumes there is a first constrained element
     mm = max(m, 1)
     d, t = mu.length, lam.length
     if mm > d:
@@ -200,13 +206,27 @@ def p_base(
     den = factorial(d - mm)
     for a in lam.multiplicities().values():
         den *= factorial(a)
-    prefactor = Fraction(
-        factorial(t - 1) * factorial(d - 1) * factorial(n - mm), den
-    )
-    oversized = Counter(p - 1 for p in mu.parts if p > 1)
+    num = factorial(t - 1) * factorial(d - 1) * factorial(n - mm)
+    num *= _p_base_sum(mu.parts, mm, reading)
+    value, remainder = divmod(num, den)
+    if remainder:
+        raise ArithmeticError(
+            f"non-exact base value for lam={lam}, mu={mu}, m={m}: {Fraction(num, den)}"
+        )
+    return value
+
+
+@lru_cache(maxsize=None)
+def _p_base_sum(mu_parts: tuple[int, ...], mm: int, reading: str) -> int:
+    """The tuple sum of :func:`p_base`: it depends on the vertical type,
+    the effective m and the spelling only, never on the diagonal type, so
+    every lam on the boundary with mu shares it.
+    """
+    d = len(mu_parts)
+    oversized = Counter(p - 1 for p in mu_parts if p > 1)
     ell1 = sum(oversized.values())
     total = 0
-    for r in sorted(set(mu.parts)):
+    for r in sorted(set(mu_parts)):
         delta = 0 if r == 1 else 1
         pool = oversized.copy()
         if r > 1:
@@ -226,12 +246,7 @@ def p_base(
                 for value, count in chosen.items():
                     weight *= (value + 1) ** count
                 total += outer * weight * orderings
-    result = prefactor * total
-    if result.denominator != 1:
-        raise ArithmeticError(
-            f"non-exact base value for lam={lam}, mu={mu}, m={m}: {result}"
-        )
-    return int(result)
+    return total
 
 
 def _check_base_pair(lam: IntegerPartition, mu: IntegerPartition, m: int) -> int:
@@ -330,10 +345,28 @@ def _weight_i(m: int, k: int, j: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def _split_graph(n: int) -> dict[tuple[int, ...], tuple[tuple[tuple[int, ...], int], ...]]:
+    """Refinement inputs of the recurrence for every partition lam of n:
+    each (mu, kappa) with mu a split of one part of lam into an odd
+    number 2j + 1 >= 3 of pieces.  Built once per n and shared by every
+    m and kind.
+    """
+    return {
+        lam.parts: tuple(
+            (mu.parts, kappa)
+            for k in range(3, n - lam.length + 2, 2)
+            for mu, kappa in splits_of(lam, k)
+        )
+        for lam in partitions_of(n)
+    }
+
+
+@lru_cache(maxsize=None)
 def _lambda_table(
     n: int, m: int, kind: str, base: str, reading: str | None, cap: int | None
 ) -> dict[tuple[tuple[int, ...], int], int]:
     weight = _weight_p if kind == "p" else _weight_i
+    splits = _split_graph(n)
     pairs = [
         (lam, k)
         for lam in partitions_of(n)
@@ -354,11 +387,8 @@ def _lambda_table(
             if w:
                 numerator += w * table.get((lam.parts, k + 2 * j), 0)
             j += 1
-        j = 1
-        while lam.length + 2 * j <= n:
-            for mu, kappa in splits_of(lam, 2 * j + 1):
-                numerator += kappa * table.get((mu.parts, k), 0)
-            j += 1
+        for mu_parts, kappa in splits[lam.parts]:
+            numerator += kappa * table.get((mu_parts, k), 0)
         table[(lam.parts, k)] = exact_div(numerator, defect)
     return table
 
@@ -374,9 +404,7 @@ def _base_value(
             return _oracle.oracle_p(lam, m, k0, cap=cap)
         return _oracle.oracle_i(lam, m, k0, cap=cap)
     total = 0
-    for mu in partitions_of(n):
-        if mu.length != k0:
-            continue
+    for mu in partitions_with_length(n, k0):
         if kind == "p":
             total += p_base(lam, mu, m, reading=reading)
         else:
@@ -395,6 +423,13 @@ def _resolve_base(n: int, base: str, kind: str, cap: int | None) -> str:
     return base
 
 
+def _table_cap(base: str, cap: int | None) -> int | None:
+    """The cap as a table cache key: only oracle boundary values depend on
+    it, so closed-form tables share one entry whatever cap was passed.
+    """
+    return cap if base == "oracle" else None
+
+
 def p_lambda(
     lam: IntegerPartition, m: int, k: int, base: BaseValueSource = "auto",
     cap: int | None = None,
@@ -411,7 +446,7 @@ def p_lambda(
     _check_nmk(n, m, k)
     chosen = _resolve_base(n, base, "p", cap)
     reading = resolve_p_base_reading() if chosen == "closed_form" else None
-    table = _lambda_table(n, m, "p", chosen, reading, cap)
+    table = _lambda_table(n, m, "p", chosen, reading, _table_cap(chosen, cap))
     return table.get((lam.parts, k), 0)
 
 
@@ -426,7 +461,7 @@ def i_lambda(
     n = lam.n
     _check_nmk(n, m, k)
     chosen = _resolve_base(n, base, "i", cap)
-    table = _lambda_table(n, m, "i", chosen, None, cap)
+    table = _lambda_table(n, m, "i", chosen, None, _table_cap(chosen, cap))
     return table.get((lam.parts, k), 0)
 
 

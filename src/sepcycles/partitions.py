@@ -5,6 +5,13 @@ splitting relation (mu arises from lam by splitting one part into k
 positive parts) and the merge count ``merge_multiplicity(mu, lam, k)``
 drive the cycle-type recurrences in :mod:`sepcycles.counting`.
 
+The merge count has a closed form.  Once lam and the merged part v are
+fixed, the merged pieces are forced: P = mu - (lam - {v}).  So the count
+is a sum, over the distinct values v of lam such that lam - {v} is a
+sub-multiset of mu, of prod_x binom(mult_mu(x), mult_P(x)); |P| = k and
+sum(P) = v follow from l(mu) = l(lam) + k - 1 and |mu| = |lam|.
+``splits_of`` is memoised, so each (lam, k) is split once per process.
+
 Text forms: a partition renders as ``3+2+1+1`` or, in multiplicity form,
 ``1^2 2^1 3^1``; a composition renders as comma-separated parts ``1,3``.
 All three are parseable.
@@ -13,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from math import comb
 from typing import Iterator
 
 
@@ -227,6 +234,7 @@ def _partition_tuples(remaining: int, max_part: int) -> Iterator[tuple[int, ...]
             yield (p, *rest)
 
 
+@lru_cache(maxsize=None)
 def partitions_with_length(n: int, length: int) -> tuple[IntegerPartition, ...]:
     return tuple(lam for lam in partitions_of(n) if lam.length == length)
 
@@ -236,26 +244,35 @@ def merge_multiplicity(mu: IntegerPartition, lam: IntegerPartition, k: int) -> i
     obtaining lam.  Returns 0 when no merge works, which encodes that the
     splitting relation fails.
 
+    Closed form: merging into the part v of lam leaves lam - {v}, so the
+    merged pieces are P = mu - (lam - {v}), and choosing them among the
+    equal parts of mu gives prod_x binom(mult_mu(x), mult_P(x)) ways.
+    The count sums this over the distinct values v of lam for which
+    lam - {v} is a sub-multiset of mu.
+
     >>> merge_multiplicity(IntegerPartition((2, 2, 1, 1)), IntegerPartition((3, 2, 1)), 2)
     4
     """
-    if k < 1 or k > mu.length:
+    if k < 1 or mu.length != lam.length + k - 1 or mu.n != lam.n:
         return 0
-    if mu.n != lam.n:
-        return 0
-    target = lam.parts
-    parts = mu.parts
+    mu_mult = mu.multiplicities()
+    lam_mult = lam.multiplicities()
     count = 0
-    for chosen in combinations(range(len(parts)), k):
-        chosen_set = set(chosen)
-        merged = [parts[i] for i in range(len(parts)) if i not in chosen_set]
-        merged.append(sum(parts[i] for i in chosen))
-        merged.sort(reverse=True)
-        if tuple(merged) == target:
-            count += 1
+    for v in lam_mult:
+        # choose which parts of mu stay unmerged: the parts of lam - {v}
+        ways = 1
+        for x, mult in lam_mult.items():
+            kept = mult - (x == v)
+            available = mu_mult.get(x, 0)
+            if kept > available:
+                ways = 0
+                break
+            ways *= comb(available, kept)
+        count += ways
     return count
 
 
+@lru_cache(maxsize=None)
 def splits_of(lam: IntegerPartition, k: int) -> tuple[tuple[IntegerPartition, int], ...]:
     """All mu obtained from lam by splitting one part into k positive parts,
     each paired with its positive merge multiplicity.

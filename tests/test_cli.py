@@ -1,6 +1,8 @@
 import csv
+import gc
 import io
 import json
+import warnings
 
 import pytest
 
@@ -171,6 +173,34 @@ def test_verify_rejects_max_n_beyond_cap(capsys):
     code, _, err = run_cli(capsys, "verify", "--max-n", "8", "--suite", "identities")
     assert code == 2
     assert "cap" in err
+
+
+def test_verify_out_untouched_when_max_n_exceeds_cap(tmp_path, capsys):
+    target = tmp_path / "report.txt"
+    target.write_text("keep\n", encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(
+            capsys, "verify", "--max-n", "8", "--suite", "identities",
+            "--out", str(target),
+        )
+        gc.collect()
+    assert code == 2
+    assert "cap" in err
+    assert out == ""
+    assert target.read_text(encoding="utf-8") == "keep\n"
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_verify_out_file(tmp_path, capsys):
+    target = tmp_path / "report.txt"
+    code, out, _ = run_cli(
+        capsys, "verify", "--max-n", "3", "--suite", "closed-forms",
+        "--quiet", "--out", str(target),
+    )
+    assert code == 0
+    assert out == ""
+    assert "0 mismatches" in target.read_text(encoding="utf-8")
 
 
 def test_verify_detects_injected_fault(capsys, monkeypatch):

@@ -6,6 +6,8 @@ import pytest
 
 from sepcycles.counting import (
     CountTable,
+    _lambda_table,
+    _p_base_sum,
     alpha_separated_count,
     binom,
     build_count_table,
@@ -194,6 +196,22 @@ def test_reading_resolution_is_minus():
     assert found_difference
 
 
+def test_p_base_sum_cache_keeps_readings_apart():
+    # both diagonals share the vertical type 2+1+1 and m = 2, hence one
+    # cached tuple sum per reading; each keeps its own prefactor
+    mu = P(2, 1, 1)
+    expected = {
+        (P(3, 1), "minus"): 20, (P(3, 1), "plus"): 12,
+        (P(2, 2), "minus"): 10, (P(2, 2), "plus"): 6,
+    }
+    for order in (("minus", "plus"), ("plus", "minus")):
+        _p_base_sum.cache_clear()
+        for reading in order:
+            for lam in (P(3, 1), P(2, 2)):
+                assert p_base(lam, mu, 2, reading=reading) == expected[(lam, reading)]
+    assert resolve_p_base_reading() == "minus"
+
+
 def test_lambda_pipeline_matches_ncycle_closed_form():
     for n in range(1, 8):
         lam = P(n)
@@ -243,6 +261,19 @@ def test_lambda_oracle_base_unavailable_beyond_cap():
         p_lambda(lam, 0, 1, base="oracle")
 
 
+def test_closed_form_table_cache_ignores_cap():
+    from sepcycles.oracle import OracleCapError
+
+    _lambda_table.cache_clear()
+    lam = P(5, 3)
+    first = p_lambda(lam, 2, 2, base="closed_form", cap=9)
+    assert p_lambda(lam, 2, 2, base="closed_form", cap=None) == first
+    assert _lambda_table.cache_info().currsize == 1
+    # the oracle base keeps its cap: the refusal above it is unchanged
+    with pytest.raises(OracleCapError):
+        p_lambda(lam, 2, 2, base="oracle")
+
+
 def test_lambda_pipeline_beyond_oracle_range():
     # n = 8 with closed-form base values: no enumeration involved, yet
     # the table must still account for every pair (s, pi) exactly once
@@ -261,6 +292,30 @@ def test_lambda_pipeline_beyond_oracle_range():
         if m < n:
             for k in range(1, n + 1):
                 assert i_lambda(P(n), m, k, base="closed_form") == i_ncycle(n, m, k)
+
+
+def test_lambda_tables_exact_beyond_oracle_cap():
+    # all eight tables at n = 14, far past enumeration, against three
+    # independent exact totals: columns, the n-cycle row and, at m = 0,
+    # the rows (each diagonal type lam occurs (n-1)! * n!/z_lam times)
+    n = 14
+    for kind in ("p", "i"):
+        for m in range(0, 4):
+            table = build_count_table(n, m, kind=kind, base="closed_form")
+            column = c_sep if kind == "p" else c_fix
+            ncycle = p_ncycle if kind == "p" else i_ncycle
+            for k in range(1, n + 1):
+                assert sum(
+                    table.get(lam, k) for lam in partitions_of(n)
+                ) == factorial(n - 1) * column(n, k, m), (kind, m, k)
+                assert table.get(P(n), k) == ncycle(n, m, k), (kind, m, k)
+            if m == 0:
+                for lam in partitions_of(n):
+                    z = 1
+                    for value, count in lam.multiplicities().items():
+                        z *= value**count * factorial(count)
+                    row = sum(table.get(lam, k) for k in range(1, n + 1))
+                    assert row == exact_div(factorial(n - 1) * factorial(n), z), lam
 
 
 def test_count_table_ncycle_parity_support():

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from sepcycles.partitions import (
@@ -67,6 +69,42 @@ def test_partitions_of_counts_and_order():
 
 def test_partitions_with_length():
     assert [p.parts for p in partitions_with_length(5, 2)] == [(4, 1), (3, 2)]
+
+
+def reference_merge_multiplicity(mu, lam, k):
+    """Merge count by enumeration: try every set of k parts of mu."""
+    if k < 1 or k > mu.length or mu.n != lam.n:
+        return 0
+    parts = mu.parts
+    count = 0
+    for chosen in combinations(range(len(parts)), k):
+        merged = [p for i, p in enumerate(parts) if i not in chosen]
+        merged.append(sum(parts[i] for i in chosen))
+        merged.sort(reverse=True)
+        count += tuple(merged) == lam.parts
+    return count
+
+
+def test_merge_multiplicity_matches_enumeration():
+    for n in range(1, 10):
+        for mu in partitions_of(n):
+            for lam in partitions_of(n):
+                for k in range(0, mu.length + 2):
+                    assert merge_multiplicity(mu, lam, k) == reference_merge_multiplicity(
+                        mu, lam, k
+                    ), (mu, lam, k)
+
+
+def test_splits_of_matches_enumeration():
+    for n in range(1, 10):
+        for lam in partitions_of(n):
+            for k in range(2, n + 1):
+                expected = []
+                for mu in partitions_of(n):  # reverse-lexicographic, like splits_of
+                    kappa = reference_merge_multiplicity(mu, lam, k)
+                    if kappa:
+                        expected.append((mu, kappa))
+                assert splits_of(lam, k) == tuple(expected), (lam, k)
 
 
 def test_merge_multiplicity_examples():
