@@ -187,6 +187,8 @@ def _run_count(args, cap) -> list[dict]:
     else:
         _need(args, "n")
         n = args.n
+        if n < 1:
+            raise ValueError(f"--n must be >= 1, got {n}")
     ks = _k_values(args, n) if q != "stirling" else None
 
     if q == "stirling":

@@ -4,8 +4,18 @@ Every closed form and recurrence in :mod:`sepcycles.counting` is checked
 against counts obtained here by brute force: enumerate all (n-1)!
 n-cycle upper horizontals s and all n! verticals pi, classify each pair
 by the cycle type of the diagonal s * pi^-1, the cycle type of pi, and
-the largest prefixes of [n] that pi separates / fixes.  One cached
-census per n answers every query.
+the largest prefixes of [n] that pi separates / fixes.
+
+One pass per n visits every one of the (n-1)! * n! pairs; there is no
+conjugacy-class or other symmetry shortcut, so the census stays an
+independent check.  Permutations are ``bytes`` images: for a fixed
+vertical, the diagonal with each horizontal is one ``bytes.translate``
+of pi^-1 through that horizontal, and a table built once per n maps the
+result to a small int standing for its (cycle type, valid-cut mask).
+The verticals that are n-cycles give exactly the products of two
+n-cycles, so the alpha (block-separation) census is their slice of the
+same pass.  Queries read the cached census through an index by diagonal
+type.
 
 The enumeration is exact or it refuses: queries above the configured cap
 (default 7, hard maximum 9 -- the n = 9 census is a multi-hour run) raise
@@ -13,11 +23,11 @@ The enumeration is exact or it refuses: queries above the configured cap
 """
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from functools import lru_cache
 from itertools import permutations as _all_arrangements
 from math import factorial
-from operator import itemgetter
+from operator import lt
 
 from .partitions import Composition, IntegerPartition
 
@@ -48,7 +58,7 @@ def _check_cap(n: int, cap: int | None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# internal enumeration (0-based tuples for speed)
+# internal enumeration (0-based images as bytes)
 
 @lru_cache(maxsize=None)
 def _n_cycles0(n: int) -> tuple[tuple[int, ...], ...]:
@@ -67,31 +77,49 @@ def _n_cycles0(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _cycle_type_table(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Image tuple -> non-increasing cycle type, for all of S_n."""
-    table = {}
-    for p in _all_arrangements(range(n)):
-        table[p] = _cycle_type0(p)
-    return table
+def _type_and_cut_mask(q: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """(non-increasing cycle type, valid-cut bitmask) of q.
 
-
-def _cycle_type0(p: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(p)
+    Cut t (1 <= t <= n-1, bit t-1) is valid when no cycle of q has
+    members on both sides of the [1..t] | [t+1..n] divide.
+    """
+    n = len(q)
     seen = [False] * n
     lengths = []
+    blocked = 0
     for start in range(n):
         if seen[start]:
             continue
+        # every smaller point sits in an earlier cycle, so start is the
+        # least member of this one
+        hi = start
         length = 0
         x = start
         while not seen[x]:
             seen[x] = True
             length += 1
-            x = p[x]
+            if x > hi:
+                hi = x
+            x = q[x]
         lengths.append(length)
+        # cuts strictly inside [start, hi] are blocked by this cycle
+        blocked |= ((1 << hi) - 1) & ~((1 << start) - 1)
     lengths.sort(reverse=True)
-    return tuple(lengths)
+    return tuple(lengths), ((1 << (n - 1)) - 1) & ~blocked
+
+
+@lru_cache(maxsize=None)
+def _perm_keys(n: int) -> tuple[dict[bytes, int], tuple[tuple[tuple[int, ...], int], ...]]:
+    """Key every permutation of S_n by its (cycle type, valid-cut mask).
+
+    Returns the map from ``bytes`` image to key and the reverse table
+    from key to that pair.
+    """
+    key_of: dict[bytes, int] = {}
+    index: dict[tuple[tuple[int, ...], int], int] = {}
+    for p in _all_arrangements(range(n)):
+        key_of[bytes(p)] = index.setdefault(_type_and_cut_mask(p), len(index))
+    return key_of, tuple(index)
 
 
 def _vertical_stats(p: tuple[int, ...]) -> tuple[tuple[int, ...], int, int]:
@@ -126,41 +154,81 @@ def _vertical_stats(p: tuple[int, ...]) -> tuple[tuple[int, ...], int, int]:
     return tuple(lengths), smax, imax
 
 
+def _inverse_bytes(p: tuple[int, ...]) -> bytes:
+    inv = bytearray(len(p))
+    for i, v in enumerate(p):
+        inv[v] = i
+    return bytes(inv)
+
+
+def _translate_table(images) -> bytes:
+    """A permutation's image padded to the 256 bytes ``translate`` needs."""
+    table = bytes(images)
+    return table + bytes(256 - len(table))
+
+
 CensusKey = tuple[tuple[int, ...], tuple[int, ...], int, int]
 
 
-def _census_slice(n: int, lo: int, hi: int | None) -> dict[CensusKey, int]:
-    """Census over verticals x a slice of the n-cycle enumeration.
+def _pair_pass(n: int, lo: int, hi: int | None) -> tuple[dict[CensusKey, int], dict[int, int]]:
+    """Census and alpha census over all verticals x a slice of the
+    n-cycle enumeration.
 
-    Key: (diagonal cycle type, vertical cycle type, largest separated
-    prefix, largest fixed prefix).  Summing disjoint slices reproduces
-    the full census exactly.
+    Census key: (diagonal cycle type, vertical cycle type, largest
+    separated prefix, largest fixed prefix).  Alpha key: the valid-cut
+    mask of the diagonal, over the n-cycle verticals only -- as pi runs
+    over the n-cycles so does pi^-1, so s * pi^-1 runs over all products
+    of two n-cycles.  Summing disjoint slices reproduces both full
+    censuses exactly.
     """
-    cycles = _n_cycles0(n)[lo:hi]
-    census: dict[CensusKey, int] = {}
-    if n == 1:
-        for _ in cycles:
-            key = ((1,), (1,), 1, 1)
-            census[key] = census.get(key, 0) + 1
-        return census
-    ct = _cycle_type_table(n)
-    get_type = ct.__getitem__
+    key_of, decode = _perm_keys(n)
+    get_key = key_of.__getitem__
+    tables = [_translate_table(s) for s in _n_cycles0(n)[lo:hi]]
+    by_vertical: defaultdict[tuple[tuple[int, ...], int, int], Counter[int]] = defaultdict(Counter)
     for p in _all_arrangements(range(n)):
-        mu, smax, imax = _vertical_stats(p)
-        pinv = [0] * n
-        for i, v in enumerate(p):
-            pinv[v] = i
-        diag_of = itemgetter(*pinv)
-        # diagonal = s composed with pi^-1, evaluated for every horizontal s
-        for lam, cnt in Counter(map(get_type, map(diag_of, cycles))).items():
-            key = (lam, mu, smax, imax)
-            census[key] = census.get(key, 0) + cnt
-    return census
+        # diagonal s * pi^-1 for every horizontal s: pi^-1 read through s
+        by_vertical[_vertical_stats(p)].update(
+            map(get_key, map(_inverse_bytes(p).translate, tables))
+        )
+    ncycle = (n,)
+    census: dict[CensusKey, int] = {}
+    alpha: dict[int, int] = {}
+    for (mu, smax, imax), counts in by_vertical.items():
+        for key, cnt in counts.items():
+            lam, mask = decode[key]
+            ckey = (lam, mu, smax, imax)
+            census[ckey] = census.get(ckey, 0) + cnt
+            if mu == ncycle:
+                alpha[mask] = alpha.get(mask, 0) + cnt
+    return census, alpha
+
+
+def _census_slice(n: int, lo: int, hi: int | None) -> dict[CensusKey, int]:
+    """The census over verticals x a slice of the n-cycle enumeration."""
+    return _pair_pass(n, lo, hi)[0]
 
 
 @lru_cache(maxsize=None)
+def _pair_census(n: int) -> tuple[dict[CensusKey, int], dict[int, int]]:
+    return _pair_pass(n, 0, None)
+
+
+# _census and _alpha_census keep caches of their own so that each census
+# still reports its own cache misses (benchmarks/tracing.py reads them).
+@lru_cache(maxsize=None)
 def _census(n: int) -> dict[CensusKey, int]:
-    return _census_slice(n, 0, None)
+    return _pair_census(n)[0]
+
+
+@lru_cache(maxsize=None)
+def _alpha_census(n: int) -> dict[int, int]:
+    """Counts of pairs of n-cycles by the bitmask of valid cut points of
+    their product: the n-cycle-vertical slice of the single pair pass.
+
+    A product is alpha-separated exactly when every internal boundary of
+    alpha is a valid cut.
+    """
+    return _pair_census(n)[1]
 
 
 @lru_cache(maxsize=None)
@@ -169,77 +237,48 @@ def _census_stratified(n: int) -> dict[tuple[tuple[int, ...], int, int, int], in
     separated prefix, exceedance count of the pair).
 
     Exceedances depend on the actual sequence order of the horizontal,
-    so this walks every pair explicitly; it is noticeably slower than
-    the plain census and intended for n <= 6.
+    so every pair carries its own statistic; intended for n <= 6.
     """
-    census: dict[tuple[tuple[int, ...], int, int, int], int] = {}
-    if n == 1:
-        census[((1,), 1, 1, 0)] = 1
-        return census
-    ct = _cycle_type_table(n)
+    key_of, decode = _perm_keys(n)
+    get_key = key_of.__getitem__
     verticals = []
     for p in _all_arrangements(range(n)):
         mu, smax, _ = _vertical_stats(p)
-        pinv = tuple(sorted(range(n), key=p.__getitem__))
-        verticals.append((p, pinv, len(mu), smax))
+        verticals.append((_inverse_bytes(p), bytes(p), len(mu), smax))
+    counts: Counter[tuple[int, int, int, int]] = Counter()
     for tail in _all_arrangements(range(1, n)):
         seq = (0, *tail)
-        pos = [0] * n
+        pos = bytearray(n)
+        nxt = bytearray(n)  # the horizontal as a permutation
         for idx, x in enumerate(seq):
             pos[x] = idx
-        nxt = [0] * n  # the horizontal as a permutation
-        for idx, x in enumerate(seq):
             nxt[x] = seq[(idx + 1) % n]
-        for p, pinv, k, smax in verticals:
-            d = tuple(nxt[pinv[x]] for x in range(n))
-            a = sum(1 for x in range(n) if pos[x] < pos[p[x]])
-            key = (ct[d], k, smax, a)
-            census[key] = census.get(key, 0) + 1
+        nxt_t = _translate_table(nxt)
+        pos_b = bytes(pos)
+        pos_t = _translate_table(pos)
+        # diagonal = nxt after pi^-1; exceedances: pos[x] < pos[pi(x)]
+        counts.update(
+            (get_key(pinv.translate(nxt_t)), k, smax, sum(map(lt, pos_b, p.translate(pos_t))))
+            for pinv, p, k, smax in verticals
+        )
+    census: dict[tuple[tuple[int, ...], int, int, int], int] = {}
+    for (key, k, smax, a), cnt in counts.items():
+        ckey = (decode[key][0], k, smax, a)
+        census[ckey] = census.get(ckey, 0) + cnt
     return census
 
 
 @lru_cache(maxsize=None)
-def _alpha_census(n: int) -> dict[int, int]:
-    """Counts of pairs of n-cycles by the bitmask of valid cut points of
-    their product.
-
-    Cut t (1 <= t <= n-1, bit t-1) is valid when no cycle of the product
-    has members on both sides of the [1..t] | [t+1..n] divide; a product
-    is alpha-separated exactly when every internal boundary of alpha is a
-    valid cut.
-    """
-    census: dict[int, int] = {}
-    cycles = _n_cycles0(n)
-    for c1 in cycles:
-        for c2 in cycles:
-            q = tuple(c1[x] for x in c2)
-            mask = _valid_cut_mask(q)
-            census[mask] = census.get(mask, 0) + 1
-    return census
+def _census_index(n: int) -> dict[tuple[int, ...], tuple[tuple[tuple[int, ...], int, int, int], ...]]:
+    """The census grouped by diagonal type: lam -> ((mu, smax, imax, count), ...)."""
+    index: dict[tuple[int, ...], list] = {}
+    for (lam, mu, smax, imax), cnt in _census(n).items():
+        index.setdefault(lam, []).append((mu, smax, imax, cnt))
+    return {lam: tuple(rows) for lam, rows in index.items()}
 
 
-def _valid_cut_mask(q: tuple[int, ...]) -> int:
-    n = len(q)
-    full = (1 << (n - 1)) - 1
-    blocked = 0
-    seen = [False] * n
-    for start in range(n):
-        if seen[start]:
-            continue
-        lo = hi = start
-        x = q[start]
-        seen[start] = True
-        while x != start:
-            seen[x] = True
-            if x < lo:
-                lo = x
-            if x > hi:
-                hi = x
-            x = q[x]
-        # cuts strictly inside [lo, hi] are blocked by this cycle
-        if hi > lo:
-            blocked |= ((1 << hi) - 1) & ~((1 << lo) - 1)
-    return full & ~blocked
+def _rows(lam: IntegerPartition) -> tuple[tuple[tuple[int, ...], int, int, int], ...]:
+    return _census_index(lam.n).get(lam.parts, ())
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +291,7 @@ def oracle_p(lam: IntegerPartition, m: int, k: int, cap: int | None = None) -> i
     n = lam.n
     _check_cap(n, cap)
     _check_m(n, m)
-    target = lam.parts
-    return sum(
-        cnt
-        for (d, mu, smax, _), cnt in _census(n).items()
-        if d == target and len(mu) == k and smax >= m
-    )
+    return sum(cnt for mu, smax, _, cnt in _rows(lam) if len(mu) == k and smax >= m)
 
 
 def oracle_i(lam: IntegerPartition, m: int, k: int, cap: int | None = None) -> int:
@@ -265,12 +299,7 @@ def oracle_i(lam: IntegerPartition, m: int, k: int, cap: int | None = None) -> i
     n = lam.n
     _check_cap(n, cap)
     _check_m(n, m)
-    target = lam.parts
-    return sum(
-        cnt
-        for (d, mu, _, imax), cnt in _census(n).items()
-        if d == target and len(mu) == k and imax >= m
-    )
+    return sum(cnt for mu, _, imax, cnt in _rows(lam) if len(mu) == k and imax >= m)
 
 
 def oracle_p_by_vertical_type(
@@ -280,12 +309,8 @@ def oracle_p_by_vertical_type(
     n = lam.n
     _check_cap(n, cap)
     _check_m(n, m)
-    d_target, v_target = lam.parts, mu.parts
-    return sum(
-        cnt
-        for (d, v, smax, _), cnt in _census(n).items()
-        if d == d_target and v == v_target and smax >= m
-    )
+    v_target = mu.parts
+    return sum(cnt for v, smax, _, cnt in _rows(lam) if v == v_target and smax >= m)
 
 
 def oracle_i_by_vertical_type(
@@ -295,12 +320,8 @@ def oracle_i_by_vertical_type(
     n = lam.n
     _check_cap(n, cap)
     _check_m(n, m)
-    d_target, v_target = lam.parts, mu.parts
-    return sum(
-        cnt
-        for (d, v, _, imax), cnt in _census(n).items()
-        if d == d_target and v == v_target and imax >= m
-    )
+    v_target = mu.parts
+    return sum(cnt for v, _, imax, cnt in _rows(lam) if v == v_target and imax >= m)
 
 
 def oracle_p_stratified(
@@ -323,16 +344,15 @@ def oracle_p_stratified(
 
 def oracle_fixed_point_distribution(n: int, cap: int | None = None) -> dict[int, int]:
     """For each i, the number of pairs of n-cycles whose product has
-    exactly i fixed points.  Values sum to ((n-1)!)^2.
+    exactly i fixed points, keys in decreasing order.  Values sum to
+    ((n-1)!)^2.
     """
     _check_cap(n, cap)
-    ncycle = (n,)
     out: dict[int, int] = {}
-    for (d, mu, _, _), cnt in _census(n).items():
-        if d == ncycle:
-            fixed = sum(1 for part in mu if part == 1)
-            out[fixed] = out.get(fixed, 0) + cnt
-    return out
+    for mu, _, _, cnt in _census_index(n).get((n,), ()):
+        fixed = mu.count(1)
+        out[fixed] = out.get(fixed, 0) + cnt
+    return dict(sorted(out.items(), reverse=True))
 
 
 def oracle_alpha(alpha: Composition, cap: int | None = None) -> int:

@@ -250,6 +250,8 @@ def run_suites(
         "recurrences": suite_recurrences,
         "identities": suite_identities,
     }
+    if max_n < 1:
+        raise ValueError(f"max_n must be >= 1, got {max_n}")
     records: list[CheckRecord] = []
     for name in suites:
         if name not in runners:

@@ -175,6 +175,25 @@ def test_verify_rejects_max_n_beyond_cap(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("max_n", ["0", "-3"])
+def test_verify_rejects_max_n_below_one(tmp_path, capsys, max_n):
+    target = tmp_path / "report.txt"
+    code, out, err = run_cli(capsys, "verify", "--max-n", max_n, "--out", str(target))
+    assert code == 2
+    assert "max_n must be >= 1" in err
+    assert out == ""
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("quantity", ["p-ncycle", "i-ncycle", "c-sep", "c-fix", "stirling"])
+@pytest.mark.parametrize("k", ["all", "1"])
+def test_count_rejects_n_below_one(capsys, quantity, k):
+    code, out, err = run_cli(capsys, "count", quantity, "--n", "0", "--m", "0", "--k", k)
+    assert code == 2
+    assert "--n must be >= 1" in err
+    assert out == ""
+
+
 def test_verify_out_untouched_when_max_n_exceeds_cap(tmp_path, capsys):
     target = tmp_path / "report.txt"
     target.write_text("keep\n", encoding="utf-8")

@@ -1,4 +1,7 @@
+from collections import Counter
+from itertools import permutations
 from math import factorial
+from operator import itemgetter
 
 import pytest
 
@@ -6,8 +9,13 @@ from sepcycles.oracle import (
     DEFAULT_CAP,
     HARD_CAP,
     OracleCapError,
+    _alpha_census,
     _census,
     _census_slice,
+    _census_stratified,
+    _n_cycles0,
+    _pair_pass,
+    _vertical_stats,
     oracle_alpha,
     oracle_fixed_point_distribution,
     oracle_i,
@@ -78,6 +86,117 @@ def test_census_chunk_decomposition():
         for key, value in _census_slice(5, lo, hi).items():
             merged[key] = merged.get(key, 0) + value
     assert merged == full
+
+
+def test_alpha_census_chunk_decomposition():
+    full = _alpha_census(5)
+    merged: dict = {}
+    for lo, hi in [(0, 7), (7, 11), (11, 24)]:
+        for key, value in _pair_pass(5, lo, hi)[1].items():
+            merged[key] = merged.get(key, 0) + value
+    assert merged == full
+
+
+# Reference enumerations: one tuple per pair, cycle types and cut masks
+# walked per product, exceedances counted per pair.  The censuses must
+# equal them key for key.
+
+def _ref_cycle_type(p):
+    n = len(p)
+    seen = [False] * n
+    lengths = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        length = 0
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            length += 1
+            x = p[x]
+        lengths.append(length)
+    lengths.sort(reverse=True)
+    return tuple(lengths)
+
+
+def _ref_valid_cut_mask(q):
+    n = len(q)
+    full = (1 << (n - 1)) - 1
+    blocked = 0
+    seen = [False] * n
+    for start in range(n):
+        if seen[start]:
+            continue
+        lo = hi = start
+        x = q[start]
+        seen[start] = True
+        while x != start:
+            seen[x] = True
+            lo = min(lo, x)
+            hi = max(hi, x)
+            x = q[x]
+        if hi > lo:
+            blocked |= ((1 << hi) - 1) & ~((1 << lo) - 1)
+    return full & ~blocked
+
+
+def _ref_census(n):
+    cycles = _n_cycles0(n)
+    census: dict = {}
+    for p in permutations(range(n)):
+        mu, smax, imax = _vertical_stats(p)
+        pinv = [0] * n
+        for i, v in enumerate(p):
+            pinv[v] = i
+        diag_of = itemgetter(*pinv) if n > 1 else (lambda s: (s[0],))
+        for lam, cnt in Counter(map(_ref_cycle_type, map(diag_of, cycles))).items():
+            key = (lam, mu, smax, imax)
+            census[key] = census.get(key, 0) + cnt
+    return census
+
+
+def _ref_alpha_census(n):
+    census: dict = {}
+    cycles = _n_cycles0(n)
+    for c1 in cycles:
+        for c2 in cycles:
+            mask = _ref_valid_cut_mask(tuple(c1[x] for x in c2))
+            census[mask] = census.get(mask, 0) + 1
+    return census
+
+
+def _ref_census_stratified(n):
+    census: dict = {}
+    verticals = []
+    for p in permutations(range(n)):
+        mu, smax, _ = _vertical_stats(p)
+        pinv = tuple(sorted(range(n), key=p.__getitem__))
+        verticals.append((p, pinv, len(mu), smax))
+    for tail in permutations(range(1, n)):
+        seq = (0, *tail)
+        pos = [0] * n
+        for idx, x in enumerate(seq):
+            pos[x] = idx
+        nxt = [0] * n
+        for idx, x in enumerate(seq):
+            nxt[x] = seq[(idx + 1) % n]
+        for p, pinv, k, smax in verticals:
+            d = tuple(nxt[pinv[x]] for x in range(n))
+            a = sum(1 for x in range(n) if pos[x] < pos[p[x]])
+            key = (_ref_cycle_type(d), k, smax, a)
+            census[key] = census.get(key, 0) + 1
+    return census
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_census_matches_reference_enumeration(n):
+    assert _census(n) == _ref_census(n)
+    assert _alpha_census(n) == _ref_alpha_census(n)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_stratified_census_matches_reference_enumeration(n):
+    assert _census_stratified(n) == _ref_census_stratified(n)
 
 
 def test_stratified_marginal_consistency():
