@@ -21,6 +21,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 
 from . import counting, oracle, verify
 from .partitions import Composition, IntegerPartition, PartitionParseError
@@ -41,6 +42,7 @@ def main(argv: list[str] | None = None) -> int:
         if out_format not in ("json", "csv"):
             raise ValueError(f"unsupported format {out_format!r}")
         cap = args.cap if getattr(args, "cap", None) is not None else config.get("oracle_cap")
+        oracle.active_cap(cap)  # refuse a cap above the hard maximum on every command
         if args.command == "count":
             records = _run_count(args, cap)
         elif args.command == "prob":
@@ -49,10 +51,12 @@ def main(argv: list[str] | None = None) -> int:
             records = _run_table(args, cap)
         else:
             return _run_verify(args, cap)
-    except (PartitionParseError, ValueError, ArithmeticError, oracle.OracleCapError) as exc:
+        stream = out_stream(args)
+    except (PartitionParseError, ValueError, ArithmeticError, oracle.OracleCapError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(records, out_format, out_stream(args))
+    _emit(records, out_format, stream)
     return 0
 
 
@@ -86,8 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="diagonal cycle type, e.g. 2+1+1 or 1^2 2^1")
     p_count.add_argument("--alpha", metavar="COMPOSITION",
                          help="composition, e.g. 1,3")
-    p_count.add_argument("--base", choices=["auto", "oracle", "closed_form"],
-                         default="auto", help="defect-0 source for *-lambda counts")
     p_count.add_argument("--source", choices=["formula", "oracle"], default="formula",
                          help="compute by formula/recurrence or by enumeration")
     p_count.add_argument("--cap", type=int, default=None,
@@ -107,8 +109,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--kind", choices=["p", "i"], default="p")
     p_table.add_argument("--table-source", choices=["recurrence", "oracle"],
                          default="recurrence")
-    p_table.add_argument("--base", choices=["auto", "oracle", "closed_form"],
-                         default="auto")
     p_table.add_argument("--cap", type=int, default=None)
 
     p_verify = sub.add_parser("verify", parents=[common],
@@ -157,14 +157,6 @@ def _need(args, *names):
             raise ValueError(f"--{name} is required for this quantity")
 
 
-def _k_values(args, n: int) -> list[int] | None:
-    if args.k is None:
-        return None
-    if args.k == "all":
-        return list(range(1, n + 1))
-    return [int(args.k)]
-
-
 def _run_count(args, cap) -> list[dict]:
     q = args.quantity
     records = []
@@ -173,14 +165,14 @@ def _run_count(args, cap) -> list[dict]:
         alpha = Composition.from_string(args.alpha)
         started = time.perf_counter()
         if args.source == "oracle":
-            value = oracle.oracle_alpha(alpha, cap=cap)
+            value, source = oracle.oracle_alpha(alpha, cap=cap), "oracle"
         else:
-            value = counting.alpha_separated_count(alpha)
-        source = "oracle" if args.source == "oracle" else "closed_form"
+            value, source = counting.alpha_separated_count(alpha), "closed_form"
         return [_record({"command": "count", "quantity": q, "alpha": str(alpha)},
                         value, source, started)]
 
-    if q in ("p-lambda", "i-lambda"):
+    by_lambda = q in ("p-lambda", "i-lambda")
+    if by_lambda:
         _need(args, "lam", "k")
         lam = IntegerPartition.from_string(args.lam)
         n = lam.n
@@ -189,58 +181,42 @@ def _run_count(args, cap) -> list[dict]:
         n = args.n
         if n < 1:
             raise ValueError(f"--n must be >= 1, got {n}")
-    ks = _k_values(args, n) if q != "stirling" else None
+        lam = IntegerPartition((n,))
+    if args.k is None:
+        raise ValueError("--k is required for this quantity")
+    first_k = 0 if q == "stirling" else 1
+    ks = list(range(first_k, n + 1)) if args.k == "all" else [int(args.k)]
 
     if q == "stirling":
-        if args.k is None:
-            raise ValueError("--k is required for this quantity")
-        k_list = list(range(0, n + 1)) if args.k == "all" else [int(args.k)]
-        for k in k_list:
+        for k in ks:
             started = time.perf_counter()
             value = counting.stirling_c(n, k)
             records.append(_record({"command": "count", "quantity": q, "n": n, "k": k},
                                    value, "closed_form", started))
         return records
 
-    if ks is None:
-        raise ValueError("--k is required for this quantity")
-
+    # quantity -> (formula, the source it reports, enumeration or None), each
+    # called as f(lam, m, k); lam is the n-cycle type (n) unless --lambda
+    # gives it.  Enumeration runs only on --source oracle.
+    methods = {
+        "c-sep": (lambda lam, m, k: counting.c_sep(lam.n, k, m), "closed_form", None),
+        "c-fix": (lambda lam, m, k: counting.c_fix(lam.n, k, m), "closed_form", None),
+        "p-ncycle": (lambda lam, m, k: counting.p_ncycle(lam.n, m, k), "closed_form",
+                     oracle.oracle_p),
+        "i-ncycle": (lambda lam, m, k: counting.i_ncycle(lam.n, m, k), "closed_form",
+                     oracle.oracle_i),
+        "p-lambda": (counting.p_lambda, "recurrence", oracle.oracle_p),
+        "i-lambda": (counting.i_lambda, "recurrence", oracle.oracle_i),
+    }
+    value_of, source, enumeration = methods[q]
+    if args.source == "oracle" and enumeration is not None:
+        value_of, source = partial(enumeration, cap=cap), "oracle"
     for k in ks:
         started = time.perf_counter()
         query = {"command": "count", "quantity": q, "n": n, "m": args.m, "k": k}
-        if q == "c-sep":
-            value, source = counting.c_sep(n, k, args.m), "closed_form"
-        elif q == "c-fix":
-            value, source = counting.c_fix(n, k, args.m), "closed_form"
-        elif q == "p-ncycle":
-            if args.source == "oracle":
-                value = oracle.oracle_p(IntegerPartition((n,)), args.m, k, cap=cap)
-                source = "oracle"
-            else:
-                value, source = counting.p_ncycle(n, args.m, k), "closed_form"
-        elif q == "i-ncycle":
-            if args.source == "oracle":
-                value = oracle.oracle_i(IntegerPartition((n,)), args.m, k, cap=cap)
-                source = "oracle"
-            else:
-                value, source = counting.i_ncycle(n, args.m, k), "closed_form"
-        elif q == "p-lambda":
+        if by_lambda:
             query["lambda"] = str(lam)
-            if args.source == "oracle":
-                value, source = oracle.oracle_p(lam, args.m, k, cap=cap), "oracle"
-            else:
-                value = counting.p_lambda(lam, args.m, k, base=args.base, cap=cap)
-                source = "recurrence"
-        elif q == "i-lambda":
-            query["lambda"] = str(lam)
-            if args.source == "oracle":
-                value, source = oracle.oracle_i(lam, args.m, k, cap=cap), "oracle"
-            else:
-                value = counting.i_lambda(lam, args.m, k, base=args.base, cap=cap)
-                source = "recurrence"
-        else:  # pragma: no cover
-            raise ValueError(f"unhandled quantity {q!r}")
-        records.append(_record(query, value, source, started))
+        records.append(_record(query, value_of(lam, args.m, k), source, started))
     return records
 
 
@@ -255,6 +231,8 @@ def _decimal_string(value: Fraction, digits: int) -> str:
 
 def _run_prob(args) -> list[dict]:
     q = args.quantity
+    if args.decimal is not None and args.decimal < 0:
+        raise ValueError(f"--decimal must be >= 0, got {args.decimal}")
     records = []
     queries: list[tuple[dict, Fraction]] = []
     if q == "separation":
@@ -287,8 +265,7 @@ def _run_prob(args) -> list[dict]:
 def _run_table(args, cap) -> list[dict]:
     started = time.perf_counter()
     table = counting.build_count_table(
-        args.n, args.m, kind=args.kind, source=args.table_source,
-        base=args.base, cap=cap,
+        args.n, args.m, kind=args.kind, source=args.table_source, cap=cap,
     )
     data = table.to_json_dict()
     data["time_seconds"] = round(time.perf_counter() - started, 6)
@@ -297,7 +274,7 @@ def _run_table(args, cap) -> list[dict]:
 
 def _run_verify(args, cap) -> int:
     suites = list(verify.SUITES) if args.suite == "all" else [args.suite]
-    effective_cap = oracle.DEFAULT_CAP if cap is None else cap
+    effective_cap = oracle.active_cap(cap)
     if args.max_n > effective_cap:
         print(
             f"error: --max-n {args.max_n} exceeds the oracle cap {effective_cap}",

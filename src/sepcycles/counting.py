@@ -8,6 +8,11 @@ Conventions used throughout:
   distinct cycles; ``i``-quantities require 1..m to be fixed points
   instead.  With the diagonal an n-cycle these are exactly the pairs of
   n-cycles whose product has k cycles and separates (fixes) 1..m.
+* General diagonal types go through the defect recurrence, which starts
+  from the closed-form boundary values :func:`p_base` / :func:`i_base`
+  at every n.  Enumeration runs only when a caller names it
+  (``base="oracle"`` or ``source="oracle"``); nothing switches to it by
+  the size of n.
 * Every division is exact and checked; a remainder raises
   :class:`ArithmeticError` instead of rounding.
 * Probabilities and moments are :class:`fractions.Fraction` values,
@@ -21,7 +26,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, factorial
 from typing import Iterator, Literal
 
@@ -34,7 +39,7 @@ from .partitions import (
     splits_of,
 )
 
-BaseValueSource = Literal["auto", "oracle", "closed_form"]
+BaseValueSource = Literal["closed_form", "oracle"]
 
 
 def binom(a: int, b: int) -> int:
@@ -294,7 +299,7 @@ def _multiset_arrangements(counter: Counter) -> int:
 _READING_CACHE: dict = {}
 
 
-def resolve_p_base_reading(max_n: int = 6, cap: int | None = None) -> str:
+def resolve_p_base_reading(max_n: int = 6) -> str:
     """Decide the binomial spelling in :func:`p_base` by exhaustive
     comparison with the oracle over every boundary pair (lam, mu) and
     every m with n <= max_n.  Exactly one spelling must survive;
@@ -310,7 +315,7 @@ def resolve_p_base_reading(max_n: int = 6, cap: int | None = None) -> str:
                 if lam.length + mu.length != n + 1:
                     continue
                 for m in range(0, n + 1):
-                    expected = _oracle.oracle_p_by_vertical_type(lam, mu, m, cap=cap)
+                    expected = _oracle.oracle_p_by_vertical_type(lam, mu, m)
                     for reading in ("minus", "plus"):
                         got = p_base(lam, mu, m, reading=reading)
                         if got != expected:
@@ -363,7 +368,7 @@ def _split_graph(n: int) -> dict[tuple[int, ...], tuple[tuple[tuple[int, ...], i
 
 @lru_cache(maxsize=None)
 def _lambda_table(
-    n: int, m: int, kind: str, base: str, reading: str | None, cap: int | None
+    n: int, m: int, kind: str, base: str, cap: int | None
 ) -> dict[tuple[tuple[int, ...], int], int]:
     weight = _weight_p if kind == "p" else _weight_i
     splits = _split_graph(n)
@@ -378,7 +383,7 @@ def _lambda_table(
     for lam, k in pairs:
         defect = n + 1 - lam.length - k
         if defect == 0:
-            table[(lam.parts, k)] = _base_value(lam, m, kind, base, reading, cap)
+            table[(lam.parts, k)] = _base_value(lam, m, kind, base, cap)
             continue
         numerator = 0
         j = 1
@@ -394,8 +399,7 @@ def _lambda_table(
 
 
 def _base_value(
-    lam: IntegerPartition, m: int, kind: str, base: str, reading: str | None,
-    cap: int | None,
+    lam: IntegerPartition, m: int, kind: str, base: str, cap: int | None
 ) -> int:
     n = lam.n
     k0 = n + 1 - lam.length
@@ -406,63 +410,51 @@ def _base_value(
     total = 0
     for mu in partitions_with_length(n, k0):
         if kind == "p":
-            total += p_base(lam, mu, m, reading=reading)
+            total += p_base(lam, mu, m)
         else:
             total += i_base(lam, mu, m)
     return total
 
 
-def _resolve_base(n: int, base: str, kind: str, cap: int | None) -> str:
-    if base == "auto":
-        if kind == "i":
-            return "closed_form"
-        limit = _oracle.DEFAULT_CAP if cap is None else cap
-        return "oracle" if n <= limit else "closed_form"
-    if base not in ("oracle", "closed_form"):
-        raise ValueError(f"base must be auto, oracle or closed_form, got {base!r}")
-    return base
-
-
-def _table_cap(base: str, cap: int | None) -> int | None:
-    """The cap as a table cache key: only oracle boundary values depend on
-    it, so closed-form tables share one entry whatever cap was passed.
-    """
-    return cap if base == "oracle" else None
+def _lambda_value(
+    lam: IntegerPartition, m: int, k: int, kind: str, base: str, cap: int | None
+) -> int:
+    _check_nmk(lam.n, m, k)
+    if base not in ("closed_form", "oracle"):
+        raise ValueError(f"base must be closed_form or oracle, got {base!r}")
+    # only oracle boundary values depend on the cap, so closed-form tables
+    # share one cache entry whatever cap was passed
+    table = _lambda_table(lam.n, m, kind, base, cap if base == "oracle" else None)
+    return table.get((lam.parts, k), 0)
 
 
 def p_lambda(
-    lam: IntegerPartition, m: int, k: int, base: BaseValueSource = "auto",
+    lam: IntegerPartition, m: int, k: int, base: BaseValueSource = "closed_form",
     cap: int | None = None,
 ) -> int:
     """Plane permutations with diagonal cycle type lam whose vertical has
     k cycles separating 1..m, computed by the downward defect recurrence.
 
-    ``base`` picks the defect-0 source: exhaustive enumeration
-    ("oracle", the default up to the oracle cap) or the boundary closed
-    form ("closed_form", the default beyond; its binomial spelling is
-    self-checked against the oracle on first use).
+    ``base`` picks the defect-0 source: the boundary closed form
+    :func:`p_base` ("closed_form", the default at every n; its binomial
+    spelling is self-checked against the oracle on first use) or
+    exhaustive enumeration ("oracle", an independent check that refuses
+    n above ``cap``).
     """
-    n = lam.n
-    _check_nmk(n, m, k)
-    chosen = _resolve_base(n, base, "p", cap)
-    reading = resolve_p_base_reading() if chosen == "closed_form" else None
-    table = _lambda_table(n, m, "p", chosen, reading, _table_cap(chosen, cap))
-    return table.get((lam.parts, k), 0)
+    return _lambda_value(lam, m, k, "p", base, cap)
 
 
 def i_lambda(
-    lam: IntegerPartition, m: int, k: int, base: BaseValueSource = "auto",
+    lam: IntegerPartition, m: int, k: int, base: BaseValueSource = "closed_form",
     cap: int | None = None,
 ) -> int:
     """Plane permutations with diagonal cycle type lam whose vertical has
-    k cycles fixing 1..m, computed by the downward defect recurrence with
-    closed-form boundary values (oracle-backed on request).
+    k cycles fixing 1..m, computed by the downward defect recurrence.
+
+    ``base`` is as in :func:`p_lambda`, with :func:`i_base` as the closed
+    form.
     """
-    n = lam.n
-    _check_nmk(n, m, k)
-    chosen = _resolve_base(n, base, "i", cap)
-    table = _lambda_table(n, m, "i", chosen, None, _table_cap(chosen, cap))
-    return table.get((lam.parts, k), 0)
+    return _lambda_value(lam, m, k, "i", base, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -627,24 +619,28 @@ def build_count_table(
     m: int,
     kind: str = "p",
     source: str = "recurrence",
-    base: BaseValueSource = "auto",
+    base: BaseValueSource = "closed_form",
     cap: int | None = None,
 ) -> CountTable:
-    """Materialise the full (lambda, k) table for one (n, m)."""
+    """Materialise the full (lambda, k) table for one (n, m).
+
+    ``source="recurrence"`` runs :func:`p_lambda` / :func:`i_lambda` with
+    the given ``base`` (closed-form boundary values by default);
+    ``source="oracle"`` reads every entry off the enumeration.  ``cap``
+    bounds enumeration only.
+    """
     if kind not in ("p", "i"):
         raise ValueError(f"kind must be 'p' or 'i', got {kind!r}")
     if source not in ("recurrence", "oracle"):
         raise ValueError(f"source must be 'recurrence' or 'oracle', got {source!r}")
+    if source == "oracle":
+        value_of = partial(_oracle.oracle_p if kind == "p" else _oracle.oracle_i, cap=cap)
+    else:
+        value_of = partial(p_lambda if kind == "p" else i_lambda, base=base, cap=cap)
     entries: dict[tuple[IntegerPartition, int], int] = {}
     for lam in partitions_of(n):
         for k in range(1, n + 1):
-            if source == "oracle":
-                fn = _oracle.oracle_p if kind == "p" else _oracle.oracle_i
-                value = fn(lam, m, k, cap=cap)
-            elif kind == "p":
-                value = p_lambda(lam, m, k, base=base, cap=cap)
-            else:
-                value = i_lambda(lam, m, k, base=base, cap=cap)
+            value = value_of(lam, m, k)
             if value:
                 entries[(lam, k)] = value
     return CountTable(n=n, m=m, kind=kind, source=source, entries=entries)

@@ -47,10 +47,18 @@ class OracleCapError(ValueError):
         self.cap = cap
 
 
-def _check_cap(n: int, cap: int | None) -> None:
+def active_cap(cap: int | None) -> int:
+    """The cap in force: ``cap``, or the default when None.  A cap above
+    the hard maximum raises :class:`ValueError`.
+    """
     limit = DEFAULT_CAP if cap is None else cap
     if limit > HARD_CAP:
         raise ValueError(f"cap {limit} exceeds the hard maximum {HARD_CAP}")
+    return limit
+
+
+def _check_cap(n: int, cap: int | None) -> None:
+    limit = active_cap(cap)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > limit:

@@ -41,7 +41,8 @@ def test_count_k_all_emits_one_record_per_k(capsys):
     assert [r["value"] for r in records] == ["0", "30", "0", "6"]
 
 
-def test_count_lambda_quantities(capsys):
+def test_count_lambda_quantities(capsys, refuse_census):
+    refuse_census()
     record = run_json(
         capsys, "count", "p-lambda", "--lambda", "2+1+1", "--m", "1", "--k", "2",
     )
@@ -51,15 +52,29 @@ def test_count_lambda_quantities(capsys):
         capsys, "count", "i-lambda", "--lambda", "2+2", "--m", "1", "--k", "1",
     )
     assert record["source"] == "recurrence"
+    # a raised cap never turns the recurrence into enumeration
+    records = run_json(
+        capsys, "count", "p-lambda", "--lambda", "9", "--m", "1", "--k", "all",
+        "--cap", "9",
+    )
+    assert [r["value"] for r in records] == [
+        str(counting.p_ncycle(9, 1, k)) for k in range(1, 10)
+    ]
+    assert {r["source"] for r in records} == {"recurrence"}
 
 
-def test_count_oracle_source(capsys):
+def test_count_oracle_source(capsys, refuse_census):
     record = run_json(
         capsys, "count", "p-ncycle", "--n", "4", "--m", "2", "--k", "2",
         "--source", "oracle",
     )
     assert record["value"] == "16"
     assert record["source"] == "oracle"
+    # --source oracle reaches the census
+    refuse_census()
+    with pytest.raises(RuntimeError, match="census refused"):
+        cli.main(["count", "p-lambda", "--lambda", "4+3", "--m", "1", "--k", "1",
+                  "--source", "oracle"])
 
 
 def test_prob_commands(capsys):
@@ -75,6 +90,11 @@ def test_prob_decimal_rendering(capsys):
     record = run_json(capsys, "prob", "separation", "--n", "4", "--m", "2",
                       "--decimal", "6")
     assert record["decimal"] == "0.611111"
+    code, out, err = run_cli(capsys, "prob", "separation", "--n", "4", "--m", "2",
+                             "--decimal", "-1")
+    assert code == 2
+    assert "--decimal must be >= 0" in err
+    assert out == ""
 
 
 def test_csv_and_json_values_agree(capsys):
@@ -91,11 +111,17 @@ def test_csv_and_json_values_agree(capsys):
     assert [int(r["k"]) for r in rows] == [r["query"]["k"] for r in json_records]
 
 
-def test_table_command(capsys):
+def test_table_command(capsys, refuse_census):
+    refuse_census()
     data = run_json(capsys, "table", "--n", "4", "--m", "2", "--kind", "p")
     entries = {(e["lambda"], e["k"]): e["value"] for e in data["entries"]}
     assert entries[("4", 2)] == "16"
     assert data["source"] == "recurrence"
+    # a raised cap never turns the recurrence into enumeration
+    data8 = run_json(capsys, "table", "--n", "8", "--m", "2", "--kind", "p", "--cap", "8")
+    assert data8["source"] == "recurrence"
+    entries8 = {(e["lambda"], e["k"]): e["value"] for e in data8["entries"]}
+    assert entries8[("8", 2)] == str(counting.p_ncycle(8, 2, 2))
     oracle_data = run_json(
         capsys, "table", "--n", "4", "--m", "2", "--kind", "p",
         "--table-source", "oracle",
@@ -112,6 +138,29 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["value"] == "35"
+
+
+@pytest.mark.parametrize("quantity", ["p-lambda", "p-ncycle"])
+def test_cap_above_hard_maximum_rejected(capsys, quantity):
+    which = ["--lambda", "4"] if quantity == "p-lambda" else ["--n", "4"]
+    code, out, err = run_cli(capsys, "count", quantity, *which, "--m", "0", "--k", "2",
+                             "--cap", "12")
+    assert code == 2
+    assert "cap 12 exceeds the hard maximum 9" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "stirling", "--n", "4", "--k", "2", "--out", "{missing}/x.json"],
+    ["verify", "--max-n", "3", "--suite", "closed-forms", "--out", "{missing}/x.txt"],
+    ["count", "stirling", "--n", "4", "--k", "2", "--config", "{missing}/x.cfg"],
+])
+def test_unopenable_file_reported(tmp_path, capsys, argv):
+    missing = tmp_path / "missing"
+    code, out, err = run_cli(capsys, *[a.format(missing=missing) for a in argv])
+    assert code == 2
+    assert err.startswith("error: ") and "No such file or directory" in err
+    assert out == ""
 
 
 def test_parse_error_reports_position(capsys):
@@ -150,6 +199,13 @@ def test_config_file(tmp_path, capsys):
     )
     assert code == 2
     assert "cap" in err
+    # a configured cap above the hard maximum is refused by every command
+    config.write_text("oracle_cap = 12\n")
+    code, _, err = run_cli(
+        capsys, "count", "stirling", "--n", "4", "--k", "2", "--config", str(config),
+    )
+    assert code == 2
+    assert "hard maximum" in err
 
 
 def test_verify_passes_and_reports(capsys):

@@ -274,6 +274,24 @@ def test_closed_form_table_cache_ignores_cap():
         p_lambda(lam, 2, 2, base="oracle")
 
 
+def test_default_base_never_enumerates(refuse_census):
+    # the default boundary values are the closed forms at every n: with the
+    # census refused from n = 7 on, the n = 7 tables still answer, equal to
+    # the census read before the refusal; only source="oracle" reaches it
+    m = 2
+    expected = {kind: build_count_table(7, m, kind=kind, source="oracle") for kind in "pi"}
+    refuse_census()
+    for kind, value_of in (("p", p_lambda), ("i", i_lambda)):
+        table = build_count_table(7, m, kind=kind)
+        assert table.source == "recurrence"
+        assert table.entries == expected[kind].entries
+        for lam in partitions_of(7):
+            for k in range(1, 8):
+                assert value_of(lam, m, k) == expected[kind].get(lam, k), (kind, lam, k)
+    with pytest.raises(RuntimeError, match="census refused"):
+        build_count_table(7, m, source="oracle")
+
+
 def test_lambda_pipeline_beyond_oracle_range():
     # n = 8 with closed-form base values: no enumeration involved, yet
     # the table must still account for every pair (s, pi) exactly once
