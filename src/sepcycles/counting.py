@@ -92,8 +92,7 @@ def c_sep(n: int, k: int, m: int) -> int:
     [m]: choose them, thread them into the m distinguished cycles, and
     let the rest form k - m further cycles.
     """
-    if not 0 <= m <= n:
-        raise ValueError(f"m must satisfy 0 <= m <= {n}, got {m}")
+    _check_km(n, k, m)
     if m == 0:
         return stirling_c(n, k)
     total = 0
@@ -107,11 +106,17 @@ def c_sep(n: int, k: int, m: int) -> int:
 
 def c_fix(n: int, k: int, m: int) -> int:
     """Permutations of [n] with k cycles fixing each of 1..m."""
-    if not 0 <= m <= n:
-        raise ValueError(f"m must satisfy 0 <= m <= {n}, got {m}")
+    _check_km(n, k, m)
     if k < m:
         return 0
     return stirling_c(n - m, k - m)
+
+
+def _check_km(n: int, k: int, m: int) -> None:
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    if not 0 <= m <= n:
+        raise ValueError(f"m must satisfy 0 <= m <= {n}, got {m}")
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,10 @@ independent check.  Permutations are ``bytes`` images: for a fixed
 vertical, the diagonal with each horizontal is one ``bytes.translate``
 of pi^-1 through that horizontal, and a table built once per n maps the
 result to a small int standing for its (cycle type, valid-cut mask).
+Cycle walks, inverses and the n-cycle enumeration come from the 0-based
+kernel in :mod:`sepcycles.perm`; the oracle imports nothing else from
+the package but :mod:`sepcycles.partitions`, and never the counting it
+checks.
 The verticals that are n-cycles give exactly the products of two
 n-cycles, so the alpha (block-separation) census is their slice of the
 same pass.  Queries read the cached census through an index by diagonal
@@ -25,11 +29,20 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from functools import lru_cache
-from itertools import permutations as _all_arrangements
+from itertools import islice, permutations as _all_arrangements
 from math import factorial
 from operator import lt
 
 from .partitions import Composition, IntegerPartition
+from .perm import (
+    cycle_type0,
+    cycles0,
+    fixed_prefix,
+    inverse0,
+    n_cycles0,
+    separated_prefix,
+    valid_cut_mask,
+)
 
 DEFAULT_CAP = 7
 HARD_CAP = 9
@@ -48,10 +61,13 @@ class OracleCapError(ValueError):
 
 
 def active_cap(cap: int | None) -> int:
-    """The cap in force: ``cap``, or the default when None.  A cap above
-    the hard maximum raises :class:`ValueError`.
+    """The cap in force: ``cap``, or the default when None.  A cap below
+    1 (it would refuse every n) or above the hard maximum raises
+    :class:`ValueError`.
     """
     limit = DEFAULT_CAP if cap is None else cap
+    if limit < 1:
+        raise ValueError(f"cap {limit} is below 1: it would refuse every n")
     if limit > HARD_CAP:
         raise ValueError(f"cap {limit} exceeds the hard maximum {HARD_CAP}")
     return limit
@@ -68,52 +84,10 @@ def _check_cap(n: int, cap: int | None) -> None:
 # ---------------------------------------------------------------------------
 # internal enumeration (0-based images as bytes)
 
-@lru_cache(maxsize=None)
-def _n_cycles0(n: int) -> tuple[tuple[int, ...], ...]:
-    """All n-cycles on {0..n-1} as image tuples, tails in lex order."""
-    if n == 1:
-        return ((0,),)
-    out = []
-    for tail in _all_arrangements(range(1, n)):
-        images = [0] * n
-        prev = 0
-        for x in tail:
-            images[prev] = x
-            prev = x
-        images[prev] = 0
-        out.append(tuple(images))
-    return tuple(out)
-
-
 def _type_and_cut_mask(q: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """(non-increasing cycle type, valid-cut bitmask) of q.
-
-    Cut t (1 <= t <= n-1, bit t-1) is valid when no cycle of q has
-    members on both sides of the [1..t] | [t+1..n] divide.
-    """
-    n = len(q)
-    seen = [False] * n
-    lengths = []
-    blocked = 0
-    for start in range(n):
-        if seen[start]:
-            continue
-        # every smaller point sits in an earlier cycle, so start is the
-        # least member of this one
-        hi = start
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            length += 1
-            if x > hi:
-                hi = x
-            x = q[x]
-        lengths.append(length)
-        # cuts strictly inside [start, hi] are blocked by this cycle
-        blocked |= ((1 << hi) - 1) & ~((1 << start) - 1)
-    lengths.sort(reverse=True)
-    return tuple(lengths), ((1 << (n - 1)) - 1) & ~blocked
+    """(non-increasing cycle type, valid-cut bitmask) of q."""
+    cycles = cycles0(q)
+    return cycle_type0(cycles), valid_cut_mask(cycles)
 
 
 @lru_cache(maxsize=None)
@@ -132,41 +106,8 @@ def _perm_keys(n: int) -> tuple[dict[bytes, int], tuple[tuple[tuple[int, ...], i
 
 def _vertical_stats(p: tuple[int, ...]) -> tuple[tuple[int, ...], int, int]:
     """(cycle type, largest separated prefix, largest fixed prefix) of p."""
-    n = len(p)
-    cid = [-1] * n
-    lengths = []
-    for start in range(n):
-        if cid[start] >= 0:
-            continue
-        label = len(lengths)
-        length = 0
-        x = start
-        while cid[x] < 0:
-            cid[x] = label
-            length += 1
-            x = p[x]
-        lengths.append(length)
-    lengths.sort(reverse=True)
-    smax = 0
-    seen_cycles: set[int] = set()
-    for x in range(n):
-        if cid[x] in seen_cycles:
-            break
-        seen_cycles.add(cid[x])
-        smax += 1
-    imax = 0
-    for x in range(n):
-        if p[x] != x:
-            break
-        imax += 1
-    return tuple(lengths), smax, imax
-
-
-def _inverse_bytes(p: tuple[int, ...]) -> bytes:
-    inv = bytearray(len(p))
-    for i, v in enumerate(p):
-        inv[v] = i
-    return bytes(inv)
+    cycles = cycles0(p)
+    return cycle_type0(cycles), separated_prefix(cycles), fixed_prefix(cycles)
 
 
 def _translate_table(images) -> bytes:
@@ -191,12 +132,12 @@ def _pair_pass(n: int, lo: int, hi: int | None) -> tuple[dict[CensusKey, int], d
     """
     key_of, decode = _perm_keys(n)
     get_key = key_of.__getitem__
-    tables = [_translate_table(s) for s in _n_cycles0(n)[lo:hi]]
+    tables = [_translate_table(s) for s in islice(n_cycles0(n), lo, hi)]
     by_vertical: defaultdict[tuple[tuple[int, ...], int, int], Counter[int]] = defaultdict(Counter)
     for p in _all_arrangements(range(n)):
         # diagonal s * pi^-1 for every horizontal s: pi^-1 read through s
         by_vertical[_vertical_stats(p)].update(
-            map(get_key, map(_inverse_bytes(p).translate, tables))
+            map(get_key, map(bytes(inverse0(p)).translate, tables))
         )
     ncycle = (n,)
     census: dict[CensusKey, int] = {}
@@ -252,15 +193,10 @@ def _census_stratified(n: int) -> dict[tuple[tuple[int, ...], int, int, int], in
     verticals = []
     for p in _all_arrangements(range(n)):
         mu, smax, _ = _vertical_stats(p)
-        verticals.append((_inverse_bytes(p), bytes(p), len(mu), smax))
+        verticals.append((bytes(inverse0(p)), bytes(p), len(mu), smax))
     counts: Counter[tuple[int, int, int, int]] = Counter()
-    for tail in _all_arrangements(range(1, n)):
-        seq = (0, *tail)
-        pos = bytearray(n)
-        nxt = bytearray(n)  # the horizontal as a permutation
-        for idx, x in enumerate(seq):
-            pos[x] = idx
-            nxt[x] = seq[(idx + 1) % n]
+    for nxt in n_cycles0(n):
+        pos = inverse0(cycles0(nxt)[0])  # place of each point in the sequence
         nxt_t = _translate_table(nxt)
         pos_b = bytes(pos)
         pos_t = _translate_table(pos)

@@ -7,14 +7,127 @@ in this package.
 Text forms: canonical cycle form ``(1 3 6)(2 5 4)`` (each cycle rotated
 so its minimum comes first, cycles sorted by minimum, fixed points
 included) and one-line form ``5,4,1,3,6,2``.  Both are parseable.
+
+The cycle walk, the cycle builder, the inverse and the n-cycle
+enumeration live once, in a 0-based kernel that takes any int sequence
+of images (a tuple or ``bytes``) on {0..n-1}; :mod:`sepcycles.plane` and
+:mod:`sepcycles.oracle` share it.  The 1-based classes reach it by
+prepending a fixed 0: ``(0, *images)`` is a 0-based permutation of
+{0..n} whose canonical cycles are ``(0,)`` followed by the 1-based ones.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations as _all_arrangements
+from operator import index
 from typing import Iterable, Iterator, Sequence
 
 from .partitions import IntegerPartition
+
+
+# ---------------------------------------------------------------------------
+# 0-based kernel
+
+def cycles0(images: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Canonical cycles of the permutation of {0..n-1} with these images:
+    each cycle starts at its least point, cycles are ordered by that
+    point, fixed points included.
+    """
+    seen = [False] * len(images)
+    out = []
+    for start, x in enumerate(images):
+        if seen[start]:
+            continue
+        # every smaller point sits in an earlier cycle, so start is the
+        # least point of this one; the scan never comes back to it, so
+        # only the later points are marked
+        cycle = [start]
+        while x != start:
+            seen[x] = True
+            cycle.append(x)
+            x = images[x]
+        out.append(tuple(cycle))
+    return tuple(out)
+
+
+def cycle_type0(cycles: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
+    """The cycle lengths in non-increasing order."""
+    return tuple(sorted(map(len, cycles), reverse=True))
+
+
+def separated_prefix(cycles: Sequence[tuple[int, ...]]) -> int:
+    """Largest t such that 0..t-1 lie in pairwise distinct cycles, read
+    off canonical cycles: cycle i starts at i for every i < t.
+    """
+    for i, cycle in enumerate(cycles):
+        if cycle[0] != i:
+            return i
+    return len(cycles)
+
+
+def fixed_prefix(cycles: Sequence[tuple[int, ...]]) -> int:
+    """Largest t such that 0..t-1 are fixed points, read off canonical
+    cycles: cycle i is (i,) for every i < t.
+    """
+    for i, cycle in enumerate(cycles):
+        if cycle != (i,):
+            return i
+    return len(cycles)
+
+
+def valid_cut_mask(cycles: Sequence[tuple[int, ...]]) -> int:
+    """Bitmask of the cuts no cycle crosses, from canonical cycles.
+
+    Cut t (1 <= t <= n-1, bit t-1) divides {0..t-1} from {t..n-1}; each
+    cycle blocks the cuts between its least and its largest point.
+    """
+    n = 0
+    blocked = 0
+    for cycle in cycles:
+        n += len(cycle)
+        blocked |= (1 << max(cycle)) - (1 << cycle[0])
+    return ((1 << (n - 1)) - 1) & ~blocked
+
+
+def from_cycles0(cycles: Iterable[Sequence[int]], n: int) -> tuple[int, ...]:
+    """Images on {0..n-1} of the permutation with these disjoint cycles;
+    points in no cycle are fixed.
+    """
+    images = list(range(n))
+    for cycle in cycles:
+        for x, y in zip(cycle, (*cycle[1:], cycle[0])):
+            images[x] = y
+    return tuple(images)
+
+
+def inverse0(images: Sequence[int]) -> tuple[int, ...]:
+    """Images of the inverse permutation.  On an arrangement of {0..n-1}
+    read as i -> seq[i], this is the position table of seq.
+    """
+    inv = [0] * len(images)
+    for i, x in enumerate(images):
+        inv[x] = i
+    return tuple(inv)
+
+
+def n_cycles0(n: int) -> Iterator[tuple[int, ...]]:
+    """All (n-1)! n-cycles on {0..n-1} as images: the cycle
+    (0 t1 ... t{n-1}) with the tail running through arrangements of
+    {1..n-1} in lexicographic order.
+    """
+    for tail in _all_arrangements(range(1, n)):
+        yield from_cycles0(((0, *tail),), n)
+
+
+def int_tuple(values: Iterable) -> tuple[int, ...]:
+    """The entries as a tuple of ints; floats, strings and other
+    non-integers raise :class:`TypeError` instead of being truncated.
+    """
+    values = tuple(values)
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise TypeError(f"entries must be integers, got {values!r}") from None
 
 
 @dataclass(frozen=True)
@@ -22,7 +135,7 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self):
-        images = tuple(int(v) for v in self.images)
+        images = int_tuple(self.images)
         n = len(images)
         if n < 1:
             raise ValueError("ground set must have at least one element")
@@ -43,10 +156,7 @@ class Permutation:
         return compose(self, other)
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, v in enumerate(self.images):
-            inv[v - 1] = i + 1
-        return Permutation(tuple(inv))
+        return Permutation(inverse0((0, *self.images))[1:])
 
     def is_identity(self) -> bool:
         return all(v == i + 1 for i, v in enumerate(self.images))
@@ -55,33 +165,10 @@ class Permutation:
         """Disjoint cycles in canonical form: each cycle starts at its
         minimum, cycles are sorted by minimum, fixed points included.
         """
-        seen = [False] * self.n
-        out = []
-        for start in range(1, self.n + 1):
-            if seen[start - 1]:
-                continue
-            cycle = [start]
-            seen[start - 1] = True
-            x = self.images[start - 1]
-            while x != start:
-                cycle.append(x)
-                seen[x - 1] = True
-                x = self.images[x - 1]
-            out.append(tuple(cycle))
-        return tuple(out)
+        return cycles0((0, *self.images))[1:]
 
     def cycle_count(self) -> int:
-        seen = [False] * self.n
-        count = 0
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            count += 1
-            x = start
-            while not seen[x]:
-                seen[x] = True
-                x = self.images[x] - 1
-        return count
+        return len(cycles0((0, *self.images))) - 1
 
     def cycle_type(self) -> IntegerPartition:
         return IntegerPartition(tuple(len(c) for c in self.cycles()))
@@ -114,20 +201,15 @@ class Permutation:
         """
         cycles = [tuple(c) for c in cycles]
         elements = [x for c in cycles for x in c]
-        if not elements and n is None:
-            raise ValueError("cannot infer n from empty cycle list")
-        top = max(elements) if elements else 0
         if n is None:
-            n = top
+            if not elements:
+                raise ValueError("cannot infer n from empty cycle list")
+            n = max(elements)
             if sorted(elements) != list(range(1, n + 1)):
                 raise ValueError("cycles must partition [n]; pass n to allow implicit fixed points")
-        if top > n or len(set(elements)) != len(elements):
+        if not all(1 <= x <= n for x in elements) or len(set(elements)) != len(elements):
             raise ValueError(f"cycles are not disjoint subsets of [{n}]: {cycles}")
-        images = list(range(1, n + 1))
-        for c in cycles:
-            for i, x in enumerate(c):
-                images[x - 1] = c[(i + 1) % len(c)]
-        return Permutation(tuple(images))
+        return Permutation(from_cycles0(cycles, n + 1)[1:])
 
     @staticmethod
     def from_cycle_sequence(seq: Sequence[int]) -> "Permutation":
@@ -154,16 +236,8 @@ def separates(p: Permutation, m: int) -> bool:
     """
     if not 0 <= m <= p.n:
         raise ValueError(f"m must satisfy 0 <= m <= {p.n}, got {m}")
-    visited = [False] * p.n
-    images = p.images
-    for start in range(1, m + 1):
-        if visited[start - 1]:
-            return False  # shares a cycle with a smaller element of [m]
-        x = start
-        while not visited[x - 1]:
-            visited[x - 1] = True
-            x = images[x - 1]
-    return True
+    # the prepended fixed 0 adds one to the separated prefix
+    return separated_prefix(cycles0((0, *p.images))) > m
 
 
 def isolates(p: Permutation, m: int) -> bool:
@@ -179,17 +253,8 @@ def enumerate_n_cycles(n: int) -> Iterator[Permutation]:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n == 1:
-        yield Permutation.identity(1)
-        return
-    for tail in _all_arrangements(range(2, n + 1)):
-        images = [0] * n
-        prev = 1
-        for x in tail:
-            images[prev - 1] = x
-            prev = x
-        images[prev - 1] = 1
-        yield Permutation(tuple(images))
+    for images in n_cycles0(n):
+        yield Permutation(tuple(x + 1 for x in images))
 
 
 def parse_permutation(text: str, n: int | None = None) -> Permutation:

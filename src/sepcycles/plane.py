@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .perm import Permutation
+from .perm import Permutation, int_tuple, inverse0
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,7 @@ class PlanePermutation:
     pi: Permutation
 
     def __post_init__(self):
-        seq = tuple(int(x) for x in self.seq)
+        seq = int_tuple(self.seq)
         n = len(seq)
         if sorted(seq) != list(range(1, n + 1)):
             raise ValueError(f"sequence must arrange [{n}] exactly once: {seq}")
@@ -48,15 +48,13 @@ class PlanePermutation:
 
     @cached_property
     def _pos(self) -> tuple[int, ...]:
-        """_pos[x-1] = index of x in the sequence."""
-        pos = [0] * self.n
-        for i, x in enumerate(self.seq):
-            pos[x - 1] = i
-        return tuple(pos)
+        """_pos[x] = place of x in the sequence, counted from 1 (entry 0
+        belongs to the prepended fixed 0)."""
+        return inverse0((0, *self.seq))
 
     def precedes(self, a: int, b: int) -> bool:
         """Sequence order: a appears strictly before b."""
-        return self._pos[a - 1] < self._pos[b - 1]
+        return self._pos[a] < self._pos[b]
 
     def diagonal(self) -> Permutation:
         return self.s * self.pi.inverse()
@@ -64,13 +62,12 @@ class PlanePermutation:
     def classify_elements(self) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
         """Partition [n] into (exceedances, trivial anti-exceedances, NTAEs)."""
         pos = self._pos
-        pi = self.pi.images
         exceedances = frozenset(
-            x for x in range(1, self.n + 1) if pos[x - 1] < pos[pi[x - 1] - 1]
+            x for x, y in enumerate(self.pi.images, 1) if pos[x] < pos[y]
         )
         trivial = set()
         for cycle in self.pi.cycles():
-            at = min(range(len(cycle)), key=lambda i: pos[cycle[i] - 1])
+            at = min(range(len(cycle)), key=lambda i: pos[cycle[i]])
             trivial.add(cycle[at - 1])  # the in-cycle preimage of the earliest member
         anti = frozenset(range(1, self.n + 1)) - exceedances
         return exceedances, frozenset(trivial), anti - trivial
@@ -119,16 +116,10 @@ class PlanePermutation:
         to the diagonal of the original pair, hence shares its cycle type.
         """
         n = self.n
-        new_seq = []
-        for x in self.seq:
-            new_seq.extend((x, x + n))
-        s = self.s
-        pinv = self.pi.inverse()
-        images = [0] * (2 * n)
-        for x in range(1, n + 1):
-            images[x - 1] = self.pi.images[x - 1]
-            images[n + x - 1] = n + pinv.images[s.images[x - 1] - 1]
-        return PlanePermutation(tuple(new_seq), Permutation(tuple(images)))
+        new_seq = tuple(y for x in self.seq for y in (x, x + n))
+        companions = (self.pi.inverse() * self.s).images
+        images = self.pi.images + tuple(n + x for x in companions)
+        return PlanePermutation(new_seq, Permutation(images))
 
     def two_row_str(self, bar_from: int | None = None) -> str:
         """Render the two-row array; elements above bar_from print as

@@ -141,13 +141,27 @@ def test_out_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("quantity", ["p-lambda", "p-ncycle"])
-def test_cap_above_hard_maximum_rejected(capsys, quantity):
+def test_cap_above_hard_maximum_rejected(tmp_path, capsys, quantity):
     which = ["--lambda", "4"] if quantity == "p-lambda" else ["--n", "4"]
     code, out, err = run_cli(capsys, "count", quantity, *which, "--m", "0", "--k", "2",
                              "--cap", "12")
     assert code == 2
     assert "cap 12 exceeds the hard maximum 9" in err
     assert out == ""
+    # a cap below 1 would refuse every n: every command rejects it up front
+    config = tmp_path / "sepcycles.cfg"
+    config.write_text("oracle_cap = 0\n")
+    commands = [
+        ["count", quantity, *which, "--m", "0", "--k", "2"],
+        ["table", "--n", "4", "--m", "1", "--kind", "p"],
+        ["verify", "--max-n", "3", "--suite", "closed-forms"],
+    ]
+    for argv in commands:
+        for cap_args in (["--cap", "0"], ["--cap", "-3"], ["--config", str(config)]):
+            code, out, err = run_cli(capsys, *argv, *cap_args)
+            assert code == 2, (argv, cap_args)
+            assert "is below 1" in err
+            assert out == ""
 
 
 @pytest.mark.parametrize("argv", [
@@ -175,6 +189,14 @@ def test_precondition_errors_surface(capsys):
                            "--k", "2")
     assert code == 2
     assert "m must satisfy" in err
+    # a negative k is refused by every closed form, as by stirling
+    for argv in (["c-sep", "--n", "3", "--k", "-1", "--m", "1"],
+                 ["c-fix", "--n", "3", "--k", "-2", "--m", "0"],
+                 ["stirling", "--n", "3", "--k", "-1"]):
+        code, out, err = run_cli(capsys, "count", *argv)
+        assert code == 2, argv
+        assert "k must be >= 0" in err
+        assert out == ""
 
 
 def test_config_file(tmp_path, capsys):

@@ -94,6 +94,16 @@ def test_c_sep_reductions():
             assert 2 * c_sep(n + 1, n, m) == (n + m) * (n + 1 - m)
 
 
+def test_negative_k_rejected():
+    # at every m, as stirling_c does, not only where m = 0 reaches it
+    for m in range(0, 4):
+        for k in (-1, -2):
+            with pytest.raises(ValueError, match="k must be >= 0"):
+                c_sep(3, k, m)
+            with pytest.raises(ValueError, match="k must be >= 0"):
+                c_fix(3, k, m)
+
+
 def test_c_fix_against_brute_force():
     table = {}
     for images in permutations(range(1, 6)):

@@ -1,10 +1,13 @@
+import ast
 from collections import Counter
 from itertools import permutations
 from math import factorial
 from operator import itemgetter
+from pathlib import Path
 
 import pytest
 
+from sepcycles import oracle as oracle_module
 from sepcycles.oracle import (
     DEFAULT_CAP,
     HARD_CAP,
@@ -13,9 +16,7 @@ from sepcycles.oracle import (
     _census,
     _census_slice,
     _census_stratified,
-    _n_cycles0,
     _pair_pass,
-    _vertical_stats,
     oracle_alpha,
     oracle_fixed_point_distribution,
     oracle_i,
@@ -99,7 +100,41 @@ def test_alpha_census_chunk_decomposition():
 
 # Reference enumerations: one tuple per pair, cycle types and cut masks
 # walked per product, exceedances counted per pair.  The censuses must
-# equal them key for key.
+# equal them key for key.  They share nothing with the code under test:
+# n-cycles, vertical statistics and cycle walks are their own.
+
+def _ref_n_cycles(n):
+    """Every arrangement of range(n) in which the orbit of 0 is all of it."""
+    out = []
+    for p in permutations(range(n)):
+        x, orbit = p[0], 1
+        while x != 0:
+            x = p[x]
+            orbit += 1
+        if orbit == n:
+            out.append(p)
+    return out
+
+
+def _ref_vertical_stats(p):
+    """(cycle type, largest separated prefix, largest fixed prefix), the
+    prefixes from orbit sets and fixed points."""
+    n = len(p)
+    orbits = []
+    for x in range(n):
+        orbit, y = {x}, p[x]
+        while y != x:
+            orbit.add(y)
+            y = p[y]
+        orbits.append(frozenset(orbit))
+    smax = 0
+    while smax < n and orbits[smax] not in orbits[:smax]:
+        smax += 1
+    imax = 0
+    while imax < n and p[imax] == imax:
+        imax += 1
+    return _ref_cycle_type(p), smax, imax
+
 
 def _ref_cycle_type(p):
     n = len(p)
@@ -141,10 +176,10 @@ def _ref_valid_cut_mask(q):
 
 
 def _ref_census(n):
-    cycles = _n_cycles0(n)
+    cycles = _ref_n_cycles(n)
     census: dict = {}
     for p in permutations(range(n)):
-        mu, smax, imax = _vertical_stats(p)
+        mu, smax, imax = _ref_vertical_stats(p)
         pinv = [0] * n
         for i, v in enumerate(p):
             pinv[v] = i
@@ -157,7 +192,7 @@ def _ref_census(n):
 
 def _ref_alpha_census(n):
     census: dict = {}
-    cycles = _n_cycles0(n)
+    cycles = _ref_n_cycles(n)
     for c1 in cycles:
         for c2 in cycles:
             mask = _ref_valid_cut_mask(tuple(c1[x] for x in c2))
@@ -169,7 +204,7 @@ def _ref_census_stratified(n):
     census: dict = {}
     verticals = []
     for p in permutations(range(n)):
-        mu, smax, _ = _vertical_stats(p)
+        mu, smax, _ = _ref_vertical_stats(p)
         pinv = tuple(sorted(range(n), key=p.__getitem__))
         verticals.append((p, pinv, len(mu), smax))
     for tail in permutations(range(1, n)):
@@ -274,3 +309,20 @@ def test_domain_errors():
         oracle_p(P(3), 4, 1)
     with pytest.raises(ValueError):
         oracle_i(P(3), -1, 1)
+
+
+def test_oracle_imports_only_partitions_and_perm():
+    # the oracle checks counting, so it must never import it (directly or
+    # through verify/cli); the permutation kernel it shares lives in perm
+    tree = ast.parse(Path(oracle_module.__file__).read_text(encoding="utf-8"))
+    package = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                package.add((node.module or "").split(".")[0])
+            elif (node.module or "").startswith("sepcycles"):
+                package.add(node.module.partition(".")[2].split(".")[0])
+        elif isinstance(node, ast.Import):
+            package.update(alias.name.partition(".")[2].split(".")[0]
+                           for alias in node.names if alias.name.startswith("sepcycles"))
+    assert package == {"partitions", "perm"}

@@ -7,11 +7,20 @@ from sepcycles.perm import (
     Permutation,
     compose,
     cycle_type,
+    cycle_type0,
+    cycles0,
     enumerate_n_cycles,
+    fixed_prefix,
+    from_cycles0,
+    inverse0,
     isolates,
+    n_cycles0,
     parse_permutation,
+    separated_prefix,
     separates,
+    valid_cut_mask,
 )
+from sepcycles.plane import PlanePermutation
 
 
 def from_cycles(*cycles, n=None):
@@ -28,6 +37,62 @@ def test_identity_and_validation():
         Permutation((0, 1))
     with pytest.raises(ValueError):
         Permutation(())
+    with pytest.raises(ValueError):
+        Permutation.from_cycles([(0,), (1, 2)], n=2)
+
+
+@pytest.mark.parametrize("bad", [(1.7, 2.2), (1.0, 2.0), ("1", "2"), (1, None)])
+def test_non_integer_entries_rejected(bad):
+    # unlike int(), which would truncate (1.7, 2.2) to the identity and parse "1"
+    with pytest.raises(TypeError, match="entries must be integers"):
+        Permutation(bad)
+    with pytest.raises(TypeError, match="entries must be integers"):
+        PlanePermutation(bad, Permutation.identity(2))
+
+
+def _orbit(p, x):
+    orbit, y = {x}, p[x]
+    while y != x:
+        orbit.add(y)
+        y = p[y]
+    return frozenset(orbit)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_kernel_against_set_definitions(n):
+    for images in permutations(range(n)):
+        orbits = [_orbit(images, x) for x in range(n)]
+        distinct = set(orbits)
+        smax = 0
+        while smax < n and orbits[smax] not in orbits[:smax]:
+            smax += 1
+        imax = 0
+        while imax < n and images[imax] == imax:
+            imax += 1
+        mask = 0
+        for t in range(1, n):
+            if not any(min(o) < t <= max(o) for o in distinct):
+                mask |= 1 << (t - 1)
+        for form in (images, bytes(images)):
+            cycles = cycles0(form)
+            # each cycle follows the images from its least point; cycles
+            # ordered by that point; together they cover [0, n) once
+            assert [c[0] for c in cycles] == sorted(min(o) for o in distinct)
+            for c in cycles:
+                assert frozenset(c) == orbits[c[0]] and len(c) == len(orbits[c[0]])
+                assert all(form[x] == y for x, y in zip(c, (*c[1:], c[0])))
+            assert cycle_type0(cycles) == tuple(sorted((len(o) for o in distinct), reverse=True))
+            assert separated_prefix(cycles) == smax
+            assert fixed_prefix(cycles) == imax
+            assert valid_cut_mask(cycles) == mask
+            assert from_cycles0(cycles, n) == images
+            inv = inverse0(form)
+            assert all(inv[images[x]] == x for x in range(n))
+    generated = list(n_cycles0(n))
+    assert len(generated) == factorial(n - 1)
+    assert set(generated) == {p for p in permutations(range(n)) if len(_orbit(p, 0)) == n}
+    tails = [cycles0(s)[0][1:] for s in generated]
+    assert tails == sorted(tails)
 
 
 def test_compose_convention():
