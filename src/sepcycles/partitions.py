@@ -234,6 +234,14 @@ def _partition_tuples(remaining: int, max_part: int) -> Iterator[tuple[int, ...]
             yield (p, *rest)
 
 
+def compositions_of(n: int) -> Iterator[Composition]:
+    """All compositions of n >= 1, ordered by first part, then by the rest."""
+    for first in range(1, n):
+        for rest in compositions_of(n - first):
+            yield Composition((first, *rest.parts))
+    yield Composition((n,))
+
+
 @lru_cache(maxsize=None)
 def partitions_with_length(n: int, length: int) -> tuple[IntegerPartition, ...]:
     return tuple(lam for lam in partitions_of(n) if lam.length == length)

@@ -1,20 +1,32 @@
 """Formula-vs-oracle verification suites.
 
-Each suite re-derives a family of counts two independent ways (closed
-form or recurrence on one side, exhaustive enumeration or a second
-closed form on the other) and records every comparison.  The CLI
-``verify`` subcommand runs these and exits non-zero on any mismatch.
+The suites are the single home of every formula-vs-reference check in
+the package: each re-derives a family of counts two independent ways
+(closed form or recurrence on one side, exhaustive enumeration or a
+second closed form on the other) and records every comparison as a
+:class:`CheckRecord`.  The CLI ``verify`` subcommand prints the records
+and exits non-zero on any mismatch; the acceptance tests run the same
+suites and assert on their records.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 from math import factorial
 
 from . import counting, oracle
-from .partitions import Composition, IntegerPartition, partitions_of
+from .partitions import IntegerPartition, compositions_of, partitions_of
+from .perm import Permutation, enumerate_n_cycles
+from .plane import PlanePermutation
 
-SUITES = ("closed-forms", "recurrences", "identities")
+# suite name -> the name of the function that runs it, looked up when a
+# run starts, so a suite function replaced on the module is the one used
+SUITES = {
+    "closed-forms": "suite_closed_forms",
+    "recurrences": "suite_recurrences",
+    "identities": "suite_identities",
+}
 
 
 @dataclass
@@ -46,15 +58,6 @@ def _record(records: list, suite: str, check: str, params: dict, got, expected):
             ok=got == expected,
         )
     )
-
-
-def _compositions(n: int):
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
-        for rest in _compositions(n - first):
-            yield (first, *rest)
 
 
 def suite_closed_forms(max_n: int, cap: int | None = None) -> list[CheckRecord]:
@@ -105,8 +108,7 @@ def suite_closed_forms(max_n: int, cap: int | None = None) -> list[CheckRecord]:
                 records, suite, "fixed-point-free", {"n": n},
                 counting.fpf_probability(n), Fraction(dist.get(0, 0), total),
             )
-        for parts in _compositions(n):
-            alpha = Composition(parts)
+        for alpha in compositions_of(n):
             _record(
                 records, suite, "alpha-separated", {"n": n, "alpha": str(alpha)},
                 counting.alpha_separated_count(alpha), oracle.oracle_alpha(alpha, cap=cap),
@@ -177,10 +179,6 @@ def suite_identities(max_n: int, cap: int | None = None) -> list[CheckRecord]:
     """Structural identities of the two-row calculus, via the oracle."""
     records: list[CheckRecord] = []
     suite = "identities"
-    from itertools import permutations
-
-    from .perm import Permutation, enumerate_n_cycles
-    from .plane import PlanePermutation
 
     # NTAE mirror identity, exhaustive where feasible
     for n in range(1, min(max_n, 5) + 1):
@@ -195,7 +193,8 @@ def suite_identities(max_n: int, cap: int | None = None) -> list[CheckRecord]:
                     ok = False
         _record(records, suite, "mirror-ntae-identity", {"n": n}, ok, True)
 
-    # cycle-count bound, read off the census keys
+    # cycle-count bound, read off the census keys (run_suites has checked
+    # max_n against the cap: the census is read without the query guard)
     for n in range(1, max_n + 1):
         bound_ok = all(
             len(lam) + len(mu) <= n + 1
@@ -245,16 +244,17 @@ def suite_identities(max_n: int, cap: int | None = None) -> list[CheckRecord]:
 def run_suites(
     suites: list[str], max_n: int, cap: int | None = None
 ) -> list[CheckRecord]:
-    runners = {
-        "closed-forms": suite_closed_forms,
-        "recurrences": suite_recurrences,
-        "identities": suite_identities,
-    }
+    """Every record of the named suites for n = 1..max_n.  Bad input is
+    refused before any suite starts, max_n above the cap in force too."""
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
+    limit = oracle.active_cap(cap)
+    if max_n > limit:
+        raise oracle.OracleCapError(max_n, limit)
+    for name in suites:
+        if name not in SUITES:
+            raise ValueError(f"unknown suite {name!r}; choose from {tuple(SUITES)}")
     records: list[CheckRecord] = []
     for name in suites:
-        if name not in runners:
-            raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
-        records.extend(runners[name](max_n, cap=cap))
+        records.extend(globals()[SUITES[name]](max_n, cap=cap))
     return records

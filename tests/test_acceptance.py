@@ -1,270 +1,61 @@
-"""Acceptance suite: every formula vs its independent check, exact.
+"""Acceptance suite: the ``verify`` registry at its acceptance ranges.
 
-Each test prints one PASS/FAIL line (run with ``pytest -s`` to see them
-all).  All comparisons are exact integer / rational equality; there are
-no tolerances anywhere.
+Every formula-vs-reference comparison is written once, in
+:mod:`sepcycles.verify`.  This file runs each suite at the range the
+paper's results are accepted on, asserts that every record is ``ok``
+and pins how many records each check makes, so a shrunken range fails
+as surely as a wrong value.  All comparisons are exact; there are no
+tolerances anywhere.
 """
-import random
-from contextlib import contextmanager
-from fractions import Fraction
-from itertools import permutations
-from math import comb, factorial
+from collections import Counter
 
-from sepcycles import counting, oracle
-from sepcycles.counting import binom
-from sepcycles.partitions import Composition, IntegerPartition, partitions_of
-from sepcycles.perm import Permutation, enumerate_n_cycles
-from sepcycles.plane import PlanePermutation
+import pytest
 
+from sepcycles import oracle, verify
 
-@contextmanager
-def criterion(number, description):
-    try:
-        yield
-    except BaseException:
-        print(f"ACCEPTANCE {number:2d} FAIL  {description}")
-        raise
-    print(f"ACCEPTANCE {number:2d} PASS  {description}")
-
-
-def N(n):
-    return IntegerPartition((n,))
+# suite -> (max n, records per check at that n)
+RANGES = {
+    "closed-forms": (7, {
+        "p-ncycle": 168, "i-ncycle": 140, "separation-probability": 35,
+        "isolation-probability": 28, "fixed-point-distribution": 7,
+        "fixed-point-mean": 6, "fixed-point-variance": 6, "fixed-point-free": 6,
+        "alpha-separated": 127,
+    }),
+    "recurrences": (6, {
+        "p-lambda": 1068, "i-lambda": 1068, "p-initial": 250, "i-initial": 250,
+        "ncycle-recurrence-identity": 90,
+    }),
+    "identities": (6, {
+        "mirror-ntae-identity": 5, "cycle-count-bound": 6, "exceedance-total": 112,
+        "stratified-splitting-identity": 822,
+    }),
+}
 
 
-def test_01_long_cycle_reduction_to_unrestricted_count():
-    with criterion(1, "m=0 reduction to the classical 2/(n(n+1)) C(n+1,k) count, n <= 9"):
-        for n in range(1, 10):
-            for k in range(1, n + 1):
-                value = counting.p_ncycle(n, 0, k)
-                if (n - k) % 2:
-                    assert value == 0
-                else:
-                    assert value * n * (n + 1) == 2 * factorial(n - 1) * counting.stirling_c(n + 1, k)
-                assert counting.i_ncycle(n, 0, k) == value
+@pytest.mark.parametrize("suite", list(RANGES))
+def test_registry_suite(suite):
+    max_n, per_check = RANGES[suite]
+    records = verify.run_suites([suite], max_n)
+    failures = [record.line() for record in records if not record.ok]
+    assert not failures, "\n".join(failures)
+    assert Counter(record.check for record in records) == per_check
 
 
-def test_02_ncycle_closed_forms_vs_oracle():
-    with criterion(2, "separation/isolation closed forms equal the oracle, n <= 7, all m, k"):
-        for n in range(1, 8):
-            lam = N(n)
-            for m in range(0, n + 1):
-                for k in range(1, n + 1):
-                    assert counting.p_ncycle(n, m, k) == oracle.oracle_p(lam, m, k)
-                    if m < n:
-                        assert counting.i_ncycle(n, m, k) == oracle.oracle_i(lam, m, k)
+def test_run_suites_refuses_max_n_beyond_cap(refuse_census, monkeypatch):
+    # every suite, the census-reading identities one included, is refused
+    # before any census pass starts
+    refuse_census()
+    passes = []
+    guarded = oracle._pair_pass
 
+    def recorded(n, lo, hi):
+        passes.append(n)
+        return guarded(n, lo, hi)
 
-def test_03_separation_probability():
-    with criterion(3, "separation probability: piecewise formula and oracle ratio, n <= 7"):
-        assert counting.sep_prob_ncycle(4, 2) == Fraction(11, 18)
-        for n in range(1, 8):
-            lam = N(n)
-            total = factorial(n - 1) ** 2
-            for m in range(0, n + 1):
-                value = counting.sep_prob_ncycle(n, m)
-                if m <= 1:
-                    assert value == 1
-                elif (n - m) % 2:
-                    assert value == Fraction(1, factorial(m))
-                else:
-                    assert value == Fraction(1, factorial(m)) + Fraction(
-                        2, factorial(m - 2) * (n + 1 - m) * (n + m)
-                    )
-                sum_counts = sum(oracle.oracle_p(lam, m, k) for k in range(1, n + 1))
-                assert value == Fraction(sum_counts, total)
-
-
-def test_04_isolation_probability():
-    with criterion(4, "isolation probability 1/(m! binom(n-1,m)) equals oracle ratio, n <= 7"):
-        for n in range(1, 8):
-            lam = N(n)
-            total = factorial(n - 1) ** 2
-            for m in range(0, n):
-                value = counting.iso_prob_ncycle(n, m)
-                assert value == Fraction(1, factorial(m) * comb(n - 1, m))
-                sum_counts = sum(oracle.oracle_i(lam, m, k) for k in range(1, n + 1))
-                assert value == Fraction(sum_counts, total)
-
-
-def test_05_general_diagonal_pipeline_vs_oracle():
-    with criterion(5, "defect recurrences with base values equal the oracle, "
-                      "every diagonal type of n <= 6, m <= 3, all k, both base sources"):
-        for n in range(1, 7):
-            for lam in partitions_of(n):
-                for m in range(0, min(n, 3) + 1):
-                    for k in range(1, n + 1):
-                        expected_p = oracle.oracle_p(lam, m, k)
-                        expected_i = oracle.oracle_i(lam, m, k)
-                        for base in ("oracle", "closed_form"):
-                            assert counting.p_lambda(lam, m, k, base=base) == expected_p, (
-                                lam, m, k, base,
-                            )
-                            assert counting.i_lambda(lam, m, k, base=base) == expected_i, (
-                                lam, m, k, base,
-                            )
-
-
-def test_06_initial_value_closed_forms():
-    with criterion(6, "boundary closed forms equal the oracle on all (lam, mu, m), "
-                      "n <= 6; binomial-spelling protocol resolves uniquely"):
-        winner = counting.resolve_p_base_reading(max_n=6)
-        assert winner == "minus"
-        mismatches = counting._READING_CACHE["mismatches"]
-        assert not mismatches["minus"]
-        assert mismatches["plus"]  # the other spelling really is wrong
-        for n in range(1, 7):
-            for lam in partitions_of(n):
-                for mu in partitions_of(n):
-                    if lam.length + mu.length != n + 1:
-                        continue
-                    for m in range(0, n + 1):
-                        assert counting.i_base(lam, mu, m) == oracle.oracle_i_by_vertical_type(
-                            lam, mu, m
-                        ), (lam, mu, m)
-                        assert counting.p_base(lam, mu, m) == oracle.oracle_p_by_vertical_type(
-                            lam, mu, m
-                        ), (lam, mu, m)
-
-
-def _all_plane_permutations(n):
-    for s in enumerate_n_cycles(n):
-        seq = tuple(s.cycles()[0])
-        for images in permutations(range(1, n + 1)):
-            yield PlanePermutation(seq, Permutation(images))
-
-
-def test_07_identity_suite():
-    with criterion(7, "mirror NTAE identity (exhaustive n <= 5, 10^5 samples at n = 8), "
-                      "stratified splitting identity and exceedance totals, n <= 6"):
-        # mirror identity, exhaustive
-        for n in range(1, 6):
-            for pp in _all_plane_permutations(n):
-                lhs = pp.ntae_count() + pp.reflect().ntae_count()
-                rhs = n + 1 - pp.pi.cycle_count() - pp.diagonal().cycle_count()
-                assert lhs == rhs
-        # mirror identity, sampled at n = 8
-        rng = random.Random(20260809)
-        for _ in range(100_000):
-            tail = list(range(2, 9))
-            rng.shuffle(tail)
-            images = list(range(1, 9))
-            rng.shuffle(images)
-            pp = PlanePermutation((1, *tail), Permutation(tuple(images)))
-            lhs = pp.ntae_count() + pp.reflect().ntae_count()
-            rhs = 9 - pp.pi.cycle_count() - pp.diagonal().cycle_count()
-            assert lhs == rhs
-        # stratified splitting identity, all diagonal types of n <= 6
-        for n in range(1, 7):
-            for lam in partitions_of(n):
-                for m in range(0, n + 1):
-                    for k in range(1, n + 1):
-                        strat = oracle.oracle_p_stratified(lam, m, k)
-                        lhs = sum((n - k - a) * cnt for a, cnt in strat.items())
-                        rhs = 0
-                        j = 1
-                        while k + 2 * j <= n:
-                            weight = m * binom(k + 2 * j - m, 2 * j) + binom(
-                                k + 2 * j - m, 2 * j + 1
-                            )
-                            rhs += weight * oracle.oracle_p(lam, m, k + 2 * j)
-                            j += 1
-                        assert lhs == rhs, (lam, m, k)
-        # exceedance totals over all diagonal types, n <= 6
-        for n in range(1, 7):
-            for m in range(0, n + 1):
-                for k in range(1, n + 1):
-                    total = 0
-                    for lam in partitions_of(n):
-                        strat = oracle.oracle_p_stratified(lam, m, k)
-                        total += sum(a * cnt for a, cnt in strat.items())
-                    coefficient = binom(n - m, 2) + m * (n - m)
-                    direct = (
-                        factorial(n - 1) * coefficient * counting.c_sep(n - 1, k, m)
-                        if m <= n - 1
-                        else 0
-                    )
-                    assert total == direct, (n, m, k)
-
-
-def test_08_fixed_point_statistics():
-    with criterion(8, "fixed-point mean n/(n-1), variance, and fixed-point-free "
-                      "probability match the oracle distribution, n <= 7"):
-        assert counting.fpf_probability(3) == Fraction(1, 2)
-        assert counting.fpf_probability(2) == 0
-        for n in range(2, 8):
-            dist = oracle.oracle_fixed_point_distribution(n)
-            total = factorial(n - 1) ** 2
-            counts = counting.fixed_point_pair_counts(n)
-            assert {i: c for i, c in enumerate(counts) if c} == dist
-            mean, variance = counting.fixed_point_moments(n)
-            o_mean = Fraction(sum(i * c for i, c in dist.items()), total)
-            o_second = Fraction(sum(i * i * c for i, c in dist.items()), total)
-            assert mean == Fraction(n, n - 1) == o_mean
-            assert variance == o_second - o_mean * o_mean
-            assert counting.fpf_probability(n) == Fraction(dist.get(0, 0), total)
-
-
-def _compositions(n):
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
-        for rest in _compositions(n - first):
-            yield (first, *rest)
-
-
-def test_09_block_separated_counts():
-    with criterion(9, "block-separated pair counts equal the oracle for every "
-                      "composition of n <= 7, with the factorial-ratio symmetry"):
-        for n in range(1, 8):
-            by_length = {}
-            for parts in _compositions(n):
-                alpha = Composition(parts)
-                value = counting.alpha_separated_count(alpha)
-                assert value == oracle.oracle_alpha(alpha), parts
-                by_length.setdefault(len(parts), []).append((parts, value))
-            # equal-length counts scale by the products of part factorials
-            for group in by_length.values():
-                ref_parts, ref_value = group[0]
-                ref_prod = 1
-                for p in ref_parts:
-                    ref_prod *= factorial(p)
-                for parts, value in group[1:]:
-                    prod = 1
-                    for p in parts:
-                        prod *= factorial(p)
-                    assert value * ref_prod == ref_value * prod, (ref_parts, parts)
-
-
-def test_10_exact_divisibility_everywhere():
-    with criterion(10, "every division in the closed forms, recurrences and base "
-                       "values is remainder-free across the ranges above"):
-        # raw remainder checks on the closed forms, n <= 9
-        for n in range(1, 10):
-            for m in range(0, n + 1):
-                for k in range(1, n + 1):
-                    if (n - k) % 2 == 0:
-                        num = 2 * factorial(n - 1) * counting.c_sep(n + 1, k, m)
-                        assert num % ((n + m) * (n + 1 - m)) == 0
-                        if m < n:
-                            num = 2 * factorial(n - 1) * counting.c_fix(n + 1, k, m)
-                            assert num % ((n - m) * (n + 1 - m)) == 0
-        # the recurrence pipeline and base values assert exactness
-        # internally (ArithmeticError); recompute the full criterion-5/6
-        # ranges through the checked division path
-        for n in range(1, 7):
-            for lam in partitions_of(n):
-                for m in range(0, min(n, 3) + 1):
-                    for k in range(1, n + 1):
-                        counting.p_lambda(lam, m, k, base="closed_form")
-                        counting.i_lambda(lam, m, k, base="closed_form")
-                for mu in partitions_of(n):
-                    if lam.length + mu.length != n + 1:
-                        continue
-                    for m in range(0, n + 1):
-                        counting.p_base(lam, mu, m)
-                        counting.i_base(lam, mu, m)
-        # block-separated counts divide exactly too, n <= 9
-        for n in range(1, 10):
-            for parts in _compositions(min(n, 7)):
-                counting.alpha_separated_count(Composition(parts))
+    monkeypatch.setattr(oracle, "_pair_pass", recorded)
+    for suite in verify.SUITES:
+        with pytest.raises(oracle.OracleCapError, match="n=8: cap is 7"):
+            verify.run_suites([suite], 8)
+    with pytest.raises(oracle.OracleCapError):
+        verify.run_suites(["identities"], 9, cap=8)
+    assert passes == []

@@ -324,3 +324,22 @@ def test_unknown_format_rejected(capsys):
     with pytest.raises(SystemExit):
         cli.main(["count", "stirling", "--n", "4", "--k", "2", "--format", "xml"])
     capsys.readouterr()
+
+
+def test_verify_refuses_format(tmp_path, capsys):
+    # verify prints text lines only: --format is refused, not ignored
+    target = tmp_path / "report.txt"
+    with pytest.raises(SystemExit) as raised:
+        cli.main(["verify", "--max-n", "2", "--format", "csv", "--out", str(target)])
+    assert raised.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--format" in captured.err
+    assert not target.exists()
+    # a config-file format stays valid: the config is shared by all commands
+    config = tmp_path / "sepcycles.cfg"
+    config.write_text("format = csv\n")
+    code, out, _ = run_cli(capsys, "verify", "--max-n", "2", "--quiet",
+                           "--config", str(config))
+    assert code == 0
+    assert out.startswith("217 checks, 0 mismatches")

@@ -1,9 +1,10 @@
 from fractions import Fraction
 from itertools import permutations
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 
+from sepcycles import counting
 from sepcycles.counting import (
     CountTable,
     _lambda_table,
@@ -28,7 +29,12 @@ from sepcycles.counting import (
     sep_prob_ncycle,
     stirling_c,
 )
-from sepcycles.partitions import Composition, IntegerPartition, partitions_of
+from sepcycles.partitions import (
+    Composition,
+    IntegerPartition,
+    compositions_of,
+    partitions_of,
+)
 from sepcycles.perm import Permutation, separates
 
 
@@ -137,6 +143,13 @@ def test_p_ncycle_values_and_parity():
                     assert value == 0
                 elif value == 0:
                     assert c_sep(n + 1, k, m) == 0
+        # m = 0: the classical count 2 (n-1)! C(n+1, k) / (n(n+1)) of
+        # n-cycle factorizations, the same for isolation
+        for k in range(1, n + 1):
+            value = p_ncycle(n, 0, k)
+            if (n - k) % 2 == 0:
+                assert value * n * (n + 1) == 2 * factorial(n - 1) * stirling_c(n + 1, k)
+            assert i_ncycle(n, 0, k) == value
     with pytest.raises(ValueError):
         p_ncycle(4, 5, 2)
     with pytest.raises(ValueError):
@@ -189,21 +202,25 @@ def test_base_values_forced_cases():
     assert i_base(P(2, 2), P(2, 1, 1), 3) == 0
 
 
-def test_reading_resolution_is_minus():
-    assert resolve_p_base_reading(max_n=5) == "minus"
-    # the rejected spelling disagrees somewhere
-    found_difference = False
-    for n in range(2, 6):
-        for lam in partitions_of(n):
-            for mu in partitions_of(n):
-                if lam.length + mu.length != n + 1:
-                    continue
-                for m in range(0, n + 1):
-                    if p_base(lam, mu, m, reading="plus") != p_base(
-                        lam, mu, m, reading="minus"
-                    ):
-                        found_difference = True
-    assert found_difference
+def test_spelling_protocol(monkeypatch):
+    # the protocol as the README states it: at n <= 6 there are 250
+    # boundary triples (lam, mu, m); minus matches the oracle on all of
+    # them and plus misses exactly 120.  An empty cache makes it run here.
+    monkeypatch.setattr(counting, "_READING_CACHE", {})
+    assert resolve_p_base_reading(max_n=6) == "minus"
+    triples = [
+        (lam, mu, m)
+        for n in range(1, 7)
+        for lam in partitions_of(n)
+        for mu in partitions_of(n)
+        if lam.length + mu.length == n + 1
+        for m in range(0, n + 1)
+    ]
+    assert len(triples) == 250
+    mismatches = counting._READING_CACHE["mismatches"]
+    assert {reading: len(bad) for reading, bad in mismatches.items()} == {
+        "minus": 0, "plus": 120,
+    }
 
 
 def test_p_base_sum_cache_keeps_readings_apart():
@@ -362,9 +379,11 @@ def test_sep_prob_values():
     for n in range(1, 12):
         for m in range(0, n + 1):
             value = sep_prob_ncycle(n, m)
-            if (n - m) % 2 == 1:
+            if m <= 1:
+                assert value == 1
+            elif (n - m) % 2 == 1:
                 assert value == Fraction(1, factorial(m))
-            elif m >= 2:
+            else:
                 assert value == Fraction(1, factorial(m)) + Fraction(
                     2, factorial(m - 2) * (n + 1 - m) * (n + m)
                 )
@@ -383,9 +402,9 @@ def test_sep_prob_equals_count_ratio():
 def test_iso_prob_values():
     assert iso_prob_ncycle(4, 2) == Fraction(1, 6)
     assert iso_prob_ncycle(5, 2) == Fraction(1, 12)
-    for n in range(2, 12):
-        assert iso_prob_ncycle(n, 0) == 1
-        assert iso_prob_ncycle(n, 1) == Fraction(1, n - 1)
+    for n in range(1, 12):
+        for m in range(0, n):
+            assert iso_prob_ncycle(n, m) == Fraction(1, factorial(m) * comb(n - 1, m))
     with pytest.raises(ValueError):
         iso_prob_ncycle(4, 4)
 
@@ -440,19 +459,18 @@ def test_alpha_separated_count():
 
 
 def test_alpha_symmetry_ratio():
-    # equal-length compositions: counts scale by the part-factorial products
-    def prod_fact(parts):
-        out = 1
-        for p in parts:
-            out *= factorial(p)
-        return out
-
-    pairs = [((1, 3), (2, 2)), ((1, 2, 2), (2, 2, 1)), ((1, 1, 4), (2, 2, 2))]
-    for a_parts, b_parts in pairs:
-        a, b = Composition(a_parts), Composition(b_parts)
-        lhs = Fraction(alpha_separated_count(a), alpha_separated_count(b))
-        rhs = Fraction(prod_fact(a_parts), prod_fact(b_parts))
-        assert lhs == rhs
+    # every composition of n <= 9: the count divides exactly (no
+    # ArithmeticError), and compositions of n with equal length have
+    # counts in the ratio of their part-factorial products
+    for n in range(1, 10):
+        by_length = {}
+        for alpha in compositions_of(n):
+            by_length.setdefault(alpha.length, []).append(
+                (alpha_separated_count(alpha), prod(map(factorial, alpha.parts)))
+            )
+        for (ref_value, ref_prod), *rest in by_length.values():
+            for value, fact_prod in rest:
+                assert value * ref_prod == ref_value * fact_prod, (n, value)
 
 
 def test_count_table_round_trip():

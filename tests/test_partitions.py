@@ -6,6 +6,7 @@ from sepcycles.partitions import (
     Composition,
     IntegerPartition,
     PartitionParseError,
+    compositions_of,
     merge_multiplicity,
     partitions_of,
     partitions_with_length,
@@ -169,3 +170,9 @@ def test_composition_blocks_and_text():
         Composition.from_string("1,,3")
     with pytest.raises(ValueError):
         Composition((0, 2))
+    # every composition of n exactly once: one per subset of the n - 1 cuts
+    assert [str(c) for c in compositions_of(3)] == ["1,1,1", "1,2", "2,1", "3"]
+    for n in range(1, 10):
+        alphas = list(compositions_of(n))
+        assert all(alpha.n == n for alpha in alphas)
+        assert len(set(alphas)) == len(alphas) == 2 ** (n - 1)

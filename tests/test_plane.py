@@ -172,12 +172,15 @@ def test_mirror_ntae_identity_exhaustive_small():
 
 
 def test_mirror_ntae_identity_sampled_n6():
-    rng = random.Random(42)
-    for _ in range(2000):
-        pp = random_plane_permutation(6, rng)
-        lhs = pp.ntae_count() + pp.reflect().ntae_count()
-        rhs = 7 - pp.pi.cycle_count() - pp.diagonal().cycle_count()
-        assert lhs == rhs
+    # (n, seed, samples): n = 6, and 100 000 pairs at n = 8, past the
+    # exhaustive range
+    for n, seed, samples in ((6, 42, 2000), (8, 20260809, 100_000)):
+        rng = random.Random(seed)
+        for _ in range(samples):
+            pp = random_plane_permutation(n, rng)
+            lhs = pp.ntae_count() + pp.reflect().ntae_count()
+            rhs = n + 1 - pp.pi.cycle_count() - pp.diagonal().cycle_count()
+            assert lhs == rhs
 
 
 def test_hat_worked_example():
