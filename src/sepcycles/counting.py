@@ -145,11 +145,15 @@ def i_ncycle(n: int, m: int, k: int) -> int:
     return exact_div(2 * factorial(n - 1) * c_fix(n + 1, k, m), (n - m) * (n + 1 - m))
 
 
-def _check_nmk(n: int, m: int, k: int) -> None:
+def _check_nm(n: int, m: int) -> None:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0 <= m <= n:
         raise ValueError(f"m must satisfy 0 <= m <= {n}, got {m}")
+
+
+def _check_nmk(n: int, m: int, k: int) -> None:
+    _check_nm(n, m)
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
 
@@ -163,26 +167,17 @@ def _check_nmk(n: int, m: int, k: int) -> None:
 
 def i_base(lam: IntegerPartition, mu: IntegerPartition, m: int) -> int:
     """Plane permutations with diagonal type lam and vertical of exact
-    type mu fixing 1..m, on the boundary l(lam) + l(mu) = n + 1.
+    type mu fixing 1..m, on the boundary l(lam) + l(mu) = n + 1:
+    (t-1)! (d-1)! (n-m)! / ((b1-m)! prod mult_lam! prod_{v>1} mult_mu(v)!)
+    with t = l(lam), d = l(mu) and b1 the unit parts of mu.
 
     Zero when mu has fewer than m unit parts.  A tempting variant of
     this formula reads (n+1-m)! over (b1-m+1)!; it overcounts (already
     on [3]: diagonal 2+1, vertical 2+1, m=0 gives 12 instead of 6).
     The version here matches exhaustive enumeration on all of n <= 6.
     """
-    n = _check_base_pair(lam, mu, m)
-    b1 = mu.multiplicity(1)
-    if b1 < m:
-        return 0
-    d, t = mu.length, lam.length
-    num = factorial(t - 1) * factorial(d - 1) * factorial(n - m)
-    den = factorial(b1 - m)
-    for a in lam.multiplicities().values():
-        den *= factorial(a)
-    for value, b in mu.multiplicities().items():
-        if value > 1:
-            den *= factorial(b)
-    return exact_div(num, den)
+    _check_base_pair(lam, mu, m)
+    return _boundary_term(lam, mu, m, _lam_factor(lam, m, "i"), _mu_factor(mu, m, "i", None))
 
 
 def p_base(
@@ -192,7 +187,9 @@ def p_base(
     reading: str | None = None,
 ) -> int:
     """Plane permutations with diagonal type lam and vertical of exact
-    type mu separating 1..m, on the boundary l(lam) + l(mu) = n + 1.
+    type mu separating 1..m, on the boundary l(lam) + l(mu) = n + 1:
+    (t-1)! (d-1)! (n-mm)! S / ((d-mm)! prod mult_lam!) with mm = max(m, 1)
+    and S the tuple sum :func:`_p_base_sum`.
 
     The sum runs over the size r of a distinguished root group of
     vertical parts together with ordered splittings of the remaining
@@ -202,28 +199,86 @@ def p_base(
     resolved once by exhaustive comparison against the oracle (see
     :func:`resolve_p_base_reading`); the minus spelling wins.
     """
-    n = _check_base_pair(lam, mu, m)
+    _check_base_pair(lam, mu, m)
     if reading is None:
         reading = resolve_p_base_reading()
     if reading not in ("minus", "plus"):
         raise ValueError(f"reading must be 'minus' or 'plus', got {reading!r}")
+    return _boundary_term(lam, mu, m, _lam_factor(lam, m, "p"), _mu_factor(mu, m, "p", reading))
+
+
+# A boundary value is (lam part) * (mu part), one exact division.  On the
+# boundary l(mu) = n + 1 - l(lam) is fixed, so the lam part is shared by
+# every mu of one boundary row and the mu part by every lam of that length.
+
+def _lam_factor(lam: IntegerPartition, m: int, kind: str) -> tuple[int, int]:
+    """The factor (numerator, denominator) of a boundary value that
+    depends on the diagonal type only.  A zero numerator: every value on
+    lam's boundary vanishes.
+    """
+    n, t = lam.n, lam.length
+    d = n + 1 - t
+    den = 1
+    for a in lam.multiplicities().values():
+        den *= factorial(a)
+    if kind == "i":
+        return factorial(t - 1) * factorial(d - 1) * factorial(n - m), den
     # separating one element constrains nothing, exactly like m = 0, and
     # the tuple sum presumes there is a first constrained element
     mm = max(m, 1)
-    d, t = mu.length, lam.length
     if mm > d:
-        return 0
-    den = factorial(d - mm)
-    for a in lam.multiplicities().values():
-        den *= factorial(a)
-    num = factorial(t - 1) * factorial(d - 1) * factorial(n - mm)
-    num *= _p_base_sum(mu.parts, mm, reading)
+        return 0, 1
+    return factorial(t - 1) * factorial(d - 1) * factorial(n - mm), den * factorial(d - mm)
+
+
+def _mu_factor(mu: IntegerPartition, m: int, kind: str, reading: str | None) -> tuple[int, int]:
+    """The factor (numerator, denominator) of a boundary value that
+    depends on the vertical type only: the tuple sum for ``p``, the
+    multiplicity factorials for ``i``.
+    """
+    if kind == "p":
+        return _p_base_sum(mu.parts, max(m, 1), reading), 1
+    mult = mu.multiplicities()
+    b1 = mult.pop(1, 0)
+    if b1 < m:
+        return 0, 1
+    den = factorial(b1 - m)
+    for b in mult.values():
+        den *= factorial(b)
+    return 1, den
+
+
+def _boundary_term(
+    lam: IntegerPartition, mu: IntegerPartition, m: int,
+    lam_factor: tuple[int, int], mu_factor: tuple[int, int],
+) -> int:
+    """One boundary value from its two factors; the division is checked
+    for this (lam, mu), never only for a sum over mu.
+    """
+    num, den = lam_factor[0] * mu_factor[0], lam_factor[1] * mu_factor[1]
     value, remainder = divmod(num, den)
     if remainder:
         raise ArithmeticError(
             f"non-exact base value for lam={lam}, mu={mu}, m={m}: {Fraction(num, den)}"
         )
     return value
+
+
+@lru_cache(maxsize=None)
+def _boundary_row(
+    n: int, d: int, m: int, kind: str
+) -> tuple[tuple[IntegerPartition, tuple[int, int]], ...]:
+    """Every vertical type mu of n with d parts and its :func:`_mu_factor`,
+    built once per (n, d, m, kind) and shared by every diagonal type of
+    length n + 1 - d.  Types whose values all vanish are left out.
+    """
+    reading = resolve_p_base_reading() if kind == "p" else None
+    row = []
+    for mu in partitions_with_length(n, d):
+        factor = _mu_factor(mu, m, kind, reading)
+        if factor[0]:
+            row.append((mu, factor))
+    return tuple(row)
 
 
 @lru_cache(maxsize=None)
@@ -340,11 +395,13 @@ def resolve_p_base_reading(max_n: int = 6) -> str:
 # ---------------------------------------------------------------------------
 # general diagonal cycle type: downward recurrences
 #
-# Entries are filled in increasing defect n + 1 - l(lambda) - k.  Both
-# recurrence inputs sit at strictly smaller defect: raising k by 2j, or
-# refining the diagonal type into 2j more parts at fixed k.  Defect-0
-# entries come from the initial values; negative defect is impossible
-# (a plane permutation always satisfies C(pi) + C(D) <= n + 1).
+# Only even defects n + 1 - l(lambda) - k are filled, in increasing
+# order.  The sign of s * pi^-1 forces the defect to be even, and both
+# recurrence inputs sit at a defect smaller by an even amount: raising k
+# by 2j, or refining the diagonal type into 2j more parts at fixed k.  So
+# an odd-defect entry is a sum of zeros; it stays absent and reads as 0.
+# Defect-0 entries come from the initial values; negative defect is
+# impossible (a plane permutation always satisfies C(pi) + C(D) <= n + 1).
 
 def _weight_p(m: int, k: int, j: int) -> int:
     return m * binom(k + 2 * j - m, 2 * j) + binom(k + 2 * j - m, 2 * j + 1)
@@ -355,17 +412,18 @@ def _weight_i(m: int, k: int, j: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _split_graph(n: int) -> dict[tuple[int, ...], tuple[tuple[tuple[int, ...], int], ...]]:
+def _split_graph(
+    n: int,
+) -> dict[tuple[int, ...], tuple[tuple[tuple[tuple[int, ...], int], ...], ...]]:
     """Refinement inputs of the recurrence for every partition lam of n:
-    each (mu, kappa) with mu a split of one part of lam into an odd
-    number 2j + 1 >= 3 of pieces.  Built once per n and shared by every
-    m and kind.
+    group j - 1 holds each (mu, kappa) with mu a split of one part of lam
+    into 2j + 1 >= 3 pieces, so mu has 2j more parts than lam.  Built once
+    per n and shared by every m and kind.
     """
     return {
         lam.parts: tuple(
-            (mu.parts, kappa)
+            tuple((mu.parts, kappa) for mu, kappa in splits_of(lam, k))
             for k in range(3, n - lam.length + 2, 2)
-            for mu, kappa in splits_of(lam, k)
         )
         for lam in partitions_of(n)
     }
@@ -380,25 +438,28 @@ def _lambda_table(
     pairs = [
         (lam, k)
         for lam in partitions_of(n)
-        for k in range(1, n + 1)
-        if n + 1 - lam.length - k >= 0
+        for k in range(n + 1 - lam.length, 0, -2)
     ]
     pairs.sort(key=lambda pk: n + 1 - pk[0].length - pk[1])
     table: dict[tuple[tuple[int, ...], int], int] = {}
     for lam, k in pairs:
-        defect = n + 1 - lam.length - k
+        k0 = n + 1 - lam.length
+        defect = k0 - k
         if defect == 0:
             table[(lam.parts, k)] = _base_value(lam, m, kind, base, cap)
             continue
         numerator = 0
         j = 1
-        while k + 2 * j <= n:
+        while k + 2 * j <= k0:
             w = weight(m, k, j)
             if w:
                 numerator += w * table.get((lam.parts, k + 2 * j), 0)
             j += 1
-        for mu_parts, kappa in splits[lam.parts]:
-            numerator += kappa * table.get((mu_parts, k), 0)
+        # a split into 2j + 1 pieces lowers the defect by 2j; past the
+        # defect it would be negative, so only the first defect / 2 groups
+        for group in splits[lam.parts][:defect // 2]:
+            for mu_parts, kappa in group:
+                numerator += kappa * table.get((mu_parts, k), 0)
         table[(lam.parts, k)] = exact_div(numerator, defect)
     return table
 
@@ -412,25 +473,33 @@ def _base_value(
         if kind == "p":
             return _oracle.oracle_p(lam, m, k0, cap=cap)
         return _oracle.oracle_i(lam, m, k0, cap=cap)
-    total = 0
-    for mu in partitions_with_length(n, k0):
-        if kind == "p":
-            total += p_base(lam, mu, m)
-        else:
-            total += i_base(lam, mu, m)
-    return total
+    lam_factor = _lam_factor(lam, m, kind)
+    if not lam_factor[0]:
+        return 0
+    return sum(
+        _boundary_term(lam, mu, m, lam_factor, mu_factor)
+        for mu, mu_factor in _boundary_row(n, k0, m, kind)
+    )
+
+
+def _recurrence_table(
+    n: int, m: int, kind: str, base: str, cap: int | None
+) -> dict[tuple[tuple[int, ...], int], int]:
+    """The cached table of one (n, m, kind, base); n and m are checked by
+    the caller.
+    """
+    if base not in ("closed_form", "oracle"):
+        raise ValueError(f"base must be closed_form or oracle, got {base!r}")
+    # only oracle boundary values depend on the cap, so closed-form tables
+    # share one cache entry whatever cap was passed
+    return _lambda_table(n, m, kind, base, cap if base == "oracle" else None)
 
 
 def _lambda_value(
     lam: IntegerPartition, m: int, k: int, kind: str, base: str, cap: int | None
 ) -> int:
     _check_nmk(lam.n, m, k)
-    if base not in ("closed_form", "oracle"):
-        raise ValueError(f"base must be closed_form or oracle, got {base!r}")
-    # only oracle boundary values depend on the cap, so closed-form tables
-    # share one cache entry whatever cap was passed
-    table = _lambda_table(lam.n, m, kind, base, cap if base == "oracle" else None)
-    return table.get((lam.parts, k), 0)
+    return _recurrence_table(lam.n, m, kind, base, cap).get((lam.parts, k), 0)
 
 
 def p_lambda(
@@ -629,8 +698,9 @@ def build_count_table(
 ) -> CountTable:
     """Materialise the full (lambda, k) table for one (n, m).
 
-    ``source="recurrence"`` runs :func:`p_lambda` / :func:`i_lambda` with
-    the given ``base`` (closed-form boundary values by default);
+    ``source="recurrence"`` reads the recurrence table behind
+    :func:`p_lambda` / :func:`i_lambda`, built with the given ``base``
+    (closed-form boundary values by default);
     ``source="oracle"`` reads every entry off the enumeration.  ``cap``
     bounds enumeration only.
     """
@@ -641,7 +711,10 @@ def build_count_table(
     if source == "oracle":
         value_of = partial(_oracle.oracle_p if kind == "p" else _oracle.oracle_i, cap=cap)
     else:
-        value_of = partial(p_lambda if kind == "p" else i_lambda, base=base, cap=cap)
+        # one checked read of the cached table, not one query per entry
+        _check_nm(n, m)
+        table = _recurrence_table(n, m, kind, base, cap)
+        value_of = lambda lam, m, k: table.get((lam.parts, k), 0)
     entries: dict[tuple[IntegerPartition, int], int] = {}
     for lam in partitions_of(n):
         for k in range(1, n + 1):

@@ -54,7 +54,7 @@ class OracleCapError(ValueError):
     def __init__(self, n: int, cap: int):
         super().__init__(
             f"oracle refuses n={n}: cap is {cap} "
-            f"(pass cap=, hard maximum {HARD_CAP})"
+            f"(raise it with --cap or cap=, hard maximum {HARD_CAP})"
         )
         self.n = n
         self.cap = cap

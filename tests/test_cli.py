@@ -251,6 +251,24 @@ def test_verify_rejects_max_n_beyond_cap(capsys):
     code, _, err = run_cli(capsys, "verify", "--max-n", "8", "--suite", "identities")
     assert code == 2
     assert "cap" in err
+    # the refusal names the command-line flag, not only the Python keyword
+    code, out, err = run_cli(capsys, "verify", "--max-n", "8")
+    assert code == 2
+    assert "n=8: cap is 7" in err
+    assert "--cap" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--n", "0"], "n must be >= 1"),
+    (["--n", "3", "--m", "5"], "m must satisfy"),
+    (["--n", "3", "--m", "-1", "--kind", "i"], "m must satisfy"),
+])
+def test_table_rejects_bad_n_and_m(capsys, argv, message):
+    code, out, err = run_cli(capsys, "table", *argv)
+    assert code == 2
+    assert message in err
+    assert out == ""
 
 
 @pytest.mark.parametrize("max_n", ["0", "-3"])

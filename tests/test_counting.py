@@ -1,10 +1,12 @@
+import re
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from math import comb, factorial, prod
 
 import pytest
 
-from sepcycles import counting
+from sepcycles import counting, oracle
 from sepcycles.counting import (
     CountTable,
     _lambda_table,
@@ -361,6 +363,52 @@ def test_lambda_tables_exact_beyond_oracle_cap():
                         z *= value**count * factorial(count)
                     row = sum(table.get(lam, k) for k in range(1, n + 1))
                     assert row == exact_div(factorial(n - 1) * factorial(n), z), lam
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_odd_defects_are_zero_and_never_stored(n):
+    # the sign of s * pi^-1 forces n + 1 - l(lam) - l(mu) to be even: the
+    # census holds no pair of odd defect, and the recurrence stores none
+    assert all((n + 1 - len(lam) - len(mu)) % 2 == 0 for lam, mu, _, _ in oracle._census(n))
+    for kind in "pi":
+        for m in range(0, min(n, 3) + 1):
+            table = _lambda_table(n, m, kind, "closed_form", None)
+            assert all((n + 1 - len(lam) - k) % 2 == 0 for lam, k in table), (kind, m)
+
+
+@pytest.mark.parametrize("kind", ["p", "i"])
+def test_boundary_exactness_checked_per_pair(monkeypatch, kind):
+    # Each boundary value (lam, mu) is its own checked division, although
+    # lam's factor is shared by its whole row.  Shift the factor of one mu
+    # by +1/q and of a second mu of the same row by -1/q, q a prime that
+    # divides no factorial at n = 7: every row sum stays exact, but the
+    # first shifted pair must raise, naming lam and mu.  (An integer shift
+    # would not do: at n = 7, m = 2 every p prefactor is an integer.)
+    q = 1_000_003
+    shifted = {P(4, 1, 1, 1): 1, P(3, 2, 1, 1): -1}
+    real = counting._mu_factor
+
+    def skewed(mu, m, kind, reading):
+        num, den = real(mu, m, kind, reading)
+        return (num * q + shifted[mu] * den, den * q) if mu in shifted else (num, den)
+
+    for name in ("_lambda_table", "_boundary_row"):
+        fresh = lru_cache(maxsize=None)(getattr(counting, name).__wrapped__)
+        monkeypatch.setattr(counting, name, fresh)
+    monkeypatch.setattr(counting, "_mu_factor", skewed)
+    with pytest.raises(ArithmeticError, match=re.escape("lam=4+1+1+1, mu=4+1+1+1, m=2")):
+        build_count_table(7, 2, kind=kind)
+
+
+@pytest.mark.parametrize("args, kwargs, message", [
+    ((0, 0), {}, "n must be >= 1, got 0"),
+    ((3, 5), {}, "m must satisfy 0 <= m <= 3, got 5"),
+    ((3, -1), {"kind": "i"}, "m must satisfy 0 <= m <= 3, got -1"),
+    ((4, 1), {"base": "bogus"}, "base must be closed_form or oracle, got 'bogus'"),
+])
+def test_build_count_table_validates_arguments(args, kwargs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_count_table(*args, **kwargs)
 
 
 def test_count_table_ncycle_parity_support():

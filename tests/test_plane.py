@@ -1,10 +1,12 @@
 import random
+from collections import Counter
 from itertools import permutations
 
 import pytest
 
+from sepcycles.oracle import _census_stratified
 from sepcycles.partitions import IntegerPartition
-from sepcycles.perm import Permutation, enumerate_n_cycles
+from sepcycles.perm import Permutation, enumerate_n_cycles, separates
 from sepcycles.plane import PlanePermutation
 
 
@@ -96,6 +98,20 @@ def test_classification_partitions_ground_set():
             if len(cycle) > 1:
                 earliest = min(cycle, key=lambda x: pp.seq.index(x))
                 assert earliest in exc
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_exceedance_count_matches_stratified_census(n):
+    # two independent exceedance counts: classify_elements on plane
+    # permutations against the oracle's translate comparison, keyed by
+    # (diagonal type, cycle count of pi, largest separated prefix)
+    histogram = Counter()
+    for pp in all_plane_permutations(n):
+        smax = max(m for m in range(n + 1) if separates(pp.pi, m))
+        key = (pp.diagonal().cycle_type().parts, pp.pi.cycle_count(), smax,
+               pp.exceedance_count())
+        histogram[key] += 1
+    assert histogram == _census_stratified(n)
 
 
 def test_cycle_count_bound_exhaustive():
