@@ -63,15 +63,20 @@ def exact_div(num: int, den: int) -> int:
 # ---------------------------------------------------------------------------
 # Stirling numbers and their separating / fixing refinements
 
-@lru_cache(maxsize=None)
+_STIRLING_ROWS: list[tuple[int, ...]] = [(1,)]
+
+
 def _stirling_row(n: int) -> tuple[int, ...]:
-    if n == 0:
-        return (1,)
-    prev = _stirling_row(n - 1)
-    row = [0] * (n + 1)
-    for k in range(1, n + 1):
-        row[k] = prev[k - 1] + (n - 1) * (prev[k] if k <= n - 1 else 0)
-    return tuple(row)
+    """Row n of :func:`stirling_c`, extending the rows built so far one
+    at a time, so any n is reached without recursion.
+    """
+    rows = _STIRLING_ROWS
+    while len(rows) <= n:
+        prev = rows[-1]
+        j = len(prev) - 1
+        # c(j + 1, k) = c(j, k - 1) + j * c(j, k), with c(j, j + 1) = 0
+        rows.append((0, *(a + j * b for a, b in zip(prev, (*prev[1:], 0)))))
+    return rows[n]
 
 
 def stirling_c(n: int, k: int) -> int:
@@ -490,6 +495,10 @@ def _recurrence_table(
     """
     if base not in ("closed_form", "oracle"):
         raise ValueError(f"base must be closed_form or oracle, got {base!r}")
+    # separating 1 and fixing nothing constrain nothing: p at m = 0 and
+    # m = 1 and i at m = 0 are one table, cached under (0, "p")
+    if m == 0 or (m == 1 and kind == "p"):
+        m, kind = 0, "p"
     # only oracle boundary values depend on the cap, so closed-form tables
     # share one cache entry whatever cap was passed
     return _lambda_table(n, m, kind, base, cap if base == "oracle" else None)

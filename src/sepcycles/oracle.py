@@ -6,20 +6,22 @@ n-cycle upper horizontals s and all n! verticals pi, classify each pair
 by the cycle type of the diagonal s * pi^-1, the cycle type of pi, and
 the largest prefixes of [n] that pi separates / fixes.
 
-One pass per n visits every one of the (n-1)! * n! pairs; there is no
-conjugacy-class or other symmetry shortcut, so the census stays an
-independent check.  Permutations are ``bytes`` images: for a fixed
-vertical, the diagonal with each horizontal is one ``bytes.translate``
-of pi^-1 through that horizontal, and a table built once per n maps the
-result to a small int standing for its (cycle type, valid-cut mask).
+One unsliced, cached pass per n visits every one of the (n-1)! * n!
+pairs; there is no conjugacy-class or other symmetry shortcut, so the
+census stays an independent check.  Permutations are ``bytes`` images,
+each walked once: a table built once per n keys it by (cycle type,
+valid-cut mask, largest separated prefix, largest fixed prefix).  A
+vertical is read off the table by its type and prefixes; the diagonal
+with each horizontal is one ``bytes.translate`` of pi^-1 through that
+horizontal, read off the table by its type and mask.
 Cycle walks, inverses and the n-cycle enumeration come from the 0-based
 kernel in :mod:`sepcycles.perm`; the oracle imports nothing else from
 the package but :mod:`sepcycles.partitions`, and never the counting it
 checks.
 The verticals that are n-cycles give exactly the products of two
-n-cycles, so the alpha (block-separation) census is their slice of the
-same pass.  Queries read the cached census through an index by diagonal
-type.
+n-cycles, so the alpha (block-separation) census is a view of their
+slice of the same pass.  Queries read the cached census through an
+index by diagonal type.
 
 The enumeration is exact or it refuses: queries above the configured cap
 (default 7, hard maximum 9 -- the n = 9 census is a multi-hour run) raise
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from functools import lru_cache
-from itertools import islice, permutations as _all_arrangements
+from itertools import permutations as _all_arrangements
 from math import factorial
 from operator import lt
 
@@ -84,30 +86,26 @@ def _check_cap(n: int, cap: int | None) -> None:
 # ---------------------------------------------------------------------------
 # internal enumeration (0-based images as bytes)
 
-def _type_and_cut_mask(q: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """(non-increasing cycle type, valid-cut bitmask) of q."""
-    cycles = cycles0(q)
-    return cycle_type0(cycles), valid_cut_mask(cycles)
+PermStats = tuple[tuple[int, ...], int, int, int]
 
 
 @lru_cache(maxsize=None)
-def _perm_keys(n: int) -> tuple[dict[bytes, int], tuple[tuple[tuple[int, ...], int], ...]]:
-    """Key every permutation of S_n by its (cycle type, valid-cut mask).
+def _perm_keys(n: int) -> tuple[dict[bytes, int], tuple[PermStats, ...]]:
+    """Key every permutation of S_n by (cycle type, valid-cut mask,
+    largest separated prefix, largest fixed prefix), all read off one
+    cycle walk.
 
     Returns the map from ``bytes`` image to key and the reverse table
-    from key to that pair.
+    from key to those statistics.
     """
     key_of: dict[bytes, int] = {}
-    index: dict[tuple[tuple[int, ...], int], int] = {}
+    index: dict[PermStats, int] = {}
     for p in _all_arrangements(range(n)):
-        key_of[bytes(p)] = index.setdefault(_type_and_cut_mask(p), len(index))
+        cycles = cycles0(p)
+        stats = (cycle_type0(cycles), valid_cut_mask(cycles),
+                 separated_prefix(cycles), fixed_prefix(cycles))
+        key_of[bytes(p)] = index.setdefault(stats, len(index))
     return key_of, tuple(index)
-
-
-def _vertical_stats(p: tuple[int, ...]) -> tuple[tuple[int, ...], int, int]:
-    """(cycle type, largest separated prefix, largest fixed prefix) of p."""
-    cycles = cycles0(p)
-    return cycle_type0(cycles), separated_prefix(cycles), fixed_prefix(cycles)
 
 
 def _translate_table(images) -> bytes:
@@ -119,24 +117,25 @@ def _translate_table(images) -> bytes:
 CensusKey = tuple[tuple[int, ...], tuple[int, ...], int, int]
 
 
-def _pair_pass(n: int, lo: int, hi: int | None) -> tuple[dict[CensusKey, int], dict[int, int]]:
-    """Census and alpha census over all verticals x a slice of the
-    n-cycle enumeration.
+@lru_cache(maxsize=None)
+def _pair_pass(n: int) -> tuple[dict[CensusKey, int], dict[int, int]]:
+    """Census and alpha census over all verticals x all n-cycle
+    horizontals, in one pass.
 
     Census key: (diagonal cycle type, vertical cycle type, largest
     separated prefix, largest fixed prefix).  Alpha key: the valid-cut
     mask of the diagonal, over the n-cycle verticals only -- as pi runs
     over the n-cycles so does pi^-1, so s * pi^-1 runs over all products
-    of two n-cycles.  Summing disjoint slices reproduces both full
-    censuses exactly.
+    of two n-cycles.
     """
     key_of, decode = _perm_keys(n)
     get_key = key_of.__getitem__
-    tables = [_translate_table(s) for s in islice(n_cycles0(n), lo, hi)]
+    tables = [_translate_table(s) for s in n_cycles0(n)]
     by_vertical: defaultdict[tuple[tuple[int, ...], int, int], Counter[int]] = defaultdict(Counter)
-    for p in _all_arrangements(range(n)):
+    for p, key in key_of.items():
+        mu, _, smax, imax = decode[key]
         # diagonal s * pi^-1 for every horizontal s: pi^-1 read through s
-        by_vertical[_vertical_stats(p)].update(
+        by_vertical[mu, smax, imax].update(
             map(get_key, map(bytes(inverse0(p)).translate, tables))
         )
     ncycle = (n,)
@@ -144,7 +143,7 @@ def _pair_pass(n: int, lo: int, hi: int | None) -> tuple[dict[CensusKey, int], d
     alpha: dict[int, int] = {}
     for (mu, smax, imax), counts in by_vertical.items():
         for key, cnt in counts.items():
-            lam, mask = decode[key]
+            lam, mask, _, _ = decode[key]
             ckey = (lam, mu, smax, imax)
             census[ckey] = census.get(ckey, 0) + cnt
             if mu == ncycle:
@@ -152,24 +151,13 @@ def _pair_pass(n: int, lo: int, hi: int | None) -> tuple[dict[CensusKey, int], d
     return census, alpha
 
 
-def _census_slice(n: int, lo: int, hi: int | None) -> dict[CensusKey, int]:
-    """The census over verticals x a slice of the n-cycle enumeration."""
-    return _pair_pass(n, lo, hi)[0]
-
-
-@lru_cache(maxsize=None)
-def _pair_census(n: int) -> tuple[dict[CensusKey, int], dict[int, int]]:
-    return _pair_pass(n, 0, None)
-
-
-# _census and _alpha_census keep caches of their own so that each census
-# still reports its own cache misses (benchmarks/tracing.py reads them).
+# _census keeps a cache of its own so that it still reports its own cache
+# misses (benchmarks/tracing.py counts the enumerated pairs on them).
 @lru_cache(maxsize=None)
 def _census(n: int) -> dict[CensusKey, int]:
-    return _pair_census(n)[0]
+    return _pair_pass(n)[0]
 
 
-@lru_cache(maxsize=None)
 def _alpha_census(n: int) -> dict[int, int]:
     """Counts of pairs of n-cycles by the bitmask of valid cut points of
     their product: the n-cycle-vertical slice of the single pair pass.
@@ -177,7 +165,7 @@ def _alpha_census(n: int) -> dict[int, int]:
     A product is alpha-separated exactly when every internal boundary of
     alpha is a valid cut.
     """
-    return _pair_census(n)[1]
+    return _pair_pass(n)[1]
 
 
 @lru_cache(maxsize=None)
@@ -191,9 +179,9 @@ def _census_stratified(n: int) -> dict[tuple[tuple[int, ...], int, int, int], in
     key_of, decode = _perm_keys(n)
     get_key = key_of.__getitem__
     verticals = []
-    for p in _all_arrangements(range(n)):
-        mu, smax, _ = _vertical_stats(p)
-        verticals.append((bytes(inverse0(p)), bytes(p), len(mu), smax))
+    for p, key in key_of.items():
+        mu, _, smax, _ = decode[key]
+        verticals.append((bytes(inverse0(p)), p, len(mu), smax))
     counts: Counter[tuple[int, int, int, int]] = Counter()
     for nxt in n_cycles0(n):
         pos = inverse0(cycles0(nxt)[0])  # place of each point in the sequence

@@ -21,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Iterator
+from operator import index
+from typing import Iterable, Iterator
 
 
 class PartitionParseError(ValueError):
@@ -33,6 +34,17 @@ class PartitionParseError(ValueError):
         self.position = position
 
 
+def int_tuple(values: Iterable) -> tuple[int, ...]:
+    """The entries as a tuple of ints; floats, strings and other
+    non-integers raise :class:`TypeError` instead of being truncated.
+    """
+    values = tuple(values)
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise TypeError(f"entries must be integers, got {values!r}") from None
+
+
 @dataclass(frozen=True)
 class IntegerPartition:
     """A partition of n: positive parts, normalised to non-increasing order."""
@@ -40,7 +52,7 @@ class IntegerPartition:
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
+        parts = int_tuple(self.parts)
         if not parts:
             raise ValueError("a partition needs at least one part")
         if any(p < 1 for p in parts):
@@ -101,7 +113,7 @@ class Composition:
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
+        parts = int_tuple(self.parts)
         if not parts:
             raise ValueError("a composition needs at least one part")
         if any(p < 1 for p in parts):
@@ -294,8 +306,8 @@ def splits_of(lam: IntegerPartition, k: int) -> tuple[tuple[IntegerPartition, in
             continue
         seen_values.add(value)
         rest = lam.parts[:idx] + lam.parts[idx + 1:]
-        for pieces in _partition_tuples_exact_length(value, k, value):
-            candidates.add(tuple(sorted(rest + pieces, reverse=True)))
+        for pieces in partitions_with_length(value, k):
+            candidates.add(tuple(sorted(rest + pieces.parts, reverse=True)))
     out = []
     for parts in sorted(candidates, reverse=True):
         mu = IntegerPartition(parts)
@@ -304,15 +316,3 @@ def splits_of(lam: IntegerPartition, k: int) -> tuple[tuple[IntegerPartition, in
             out.append((mu, kappa))
     return tuple(out)
 
-
-def _partition_tuples_exact_length(n: int, k: int, max_part: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of n into exactly k parts, each at most max_part."""
-    if k == 0:
-        if n == 0:
-            yield ()
-        return
-    if n < k:
-        return
-    for p in range(min(n - k + 1, max_part), 0, -1):
-        for rest in _partition_tuples_exact_length(n - p, k - 1, p):
-            yield (p, *rest)

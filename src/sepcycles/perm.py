@@ -19,10 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations as _all_arrangements
-from operator import index
 from typing import Iterable, Iterator, Sequence
 
-from .partitions import IntegerPartition
+from .partitions import IntegerPartition, int_tuple
 
 
 # ---------------------------------------------------------------------------
@@ -117,17 +116,6 @@ def n_cycles0(n: int) -> Iterator[tuple[int, ...]]:
     """
     for tail in _all_arrangements(range(1, n)):
         yield from_cycles0(((0, *tail),), n)
-
-
-def int_tuple(values: Iterable) -> tuple[int, ...]:
-    """The entries as a tuple of ints; floats, strings and other
-    non-integers raise :class:`TypeError` instead of being truncated.
-    """
-    values = tuple(values)
-    try:
-        return tuple(map(index, values))
-    except TypeError:
-        raise TypeError(f"entries must be integers, got {values!r}") from None
 
 
 @dataclass(frozen=True)

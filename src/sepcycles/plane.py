@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .perm import Permutation, int_tuple, inverse0
+from .partitions import int_tuple
+from .perm import Permutation, inverse0
 
 
 @dataclass(frozen=True)

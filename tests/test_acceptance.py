@@ -137,9 +137,9 @@ def test_run_suites_refuses_max_n_beyond_cap(refuse_census, monkeypatch):
     passes = []
     guarded = oracle._pair_pass
 
-    def recorded(n, lo, hi):
+    def recorded(n):
         passes.append(n)
-        return guarded(n, lo, hi)
+        return guarded(n)
 
     monkeypatch.setattr(oracle, "_pair_pass", recorded)
     for suite in verify.SUITES:

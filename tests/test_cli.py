@@ -2,7 +2,11 @@ import csv
 import gc
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +37,24 @@ def test_count_p_ncycle(capsys):
 def test_count_stirling_and_alpha(capsys):
     assert run_json(capsys, "count", "stirling", "--n", "4", "--k", "2")["value"] == "11"
     assert run_json(capsys, "count", "alpha", "--alpha", "1,3")["value"] == "12"
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["count", "stirling", "--n", "600", "--k", "599"], "179700"),
+    (["count", "p-ncycle", "--n", "600", "--m", "1", "--k", "2"], None),
+])
+def test_count_cold_stirling_row_at_n_600(argv, value):
+    # a fresh process starts with no Stirling rows cached; row 600 is
+    # built without recursion, so the recursion limit does not bound n
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    script = "import sys; from sepcycles.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout)
+    assert value is None or record["value"] == value
 
 
 def test_count_k_all_emits_one_record_per_k(capsys):

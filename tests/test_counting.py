@@ -273,13 +273,20 @@ def test_lambda_zero_off_support():
     assert p_lambda(P(4), 0, 3) == 0
 
 
-def test_lambda_m_zero_equals_m_one_and_i_reduction():
-    for n in range(1, 7):
-        for lam in partitions_of(n):
-            for k in range(1, n + 1):
-                p0 = p_lambda(lam, 0, k)
-                assert p0 == p_lambda(lam, 1, k)
-                assert p0 == i_lambda(lam, 0, k)
+def test_lambda_m_zero_equals_m_one_and_i_reduction(monkeypatch):
+    # built directly, past the shared cache key, the three tables agree
+    for n in range(1, 13):
+        p0 = _lambda_table(n, 0, "p", "closed_form", None)
+        assert p0 == _lambda_table(n, 1, "p", "closed_form", None)
+        assert p0 == _lambda_table(n, 0, "i", "closed_form", None)
+    # so the eight (kind, m) tables at one n fill six cache entries
+    monkeypatch.setattr(
+        counting, "_lambda_table", lru_cache(maxsize=None)(_lambda_table.__wrapped__)
+    )
+    for kind in "pi":
+        for m in range(0, 4):
+            build_count_table(8, m, kind=kind)
+    assert counting._lambda_table.cache_info().currsize == 6
 
 
 def test_lambda_oracle_base_unavailable_beyond_cap():

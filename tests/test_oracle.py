@@ -1,5 +1,6 @@
 import ast
 from collections import Counter
+from functools import lru_cache
 from itertools import permutations
 from math import factorial
 from operator import itemgetter
@@ -14,7 +15,6 @@ from sepcycles.oracle import (
     OracleCapError,
     _alpha_census,
     _census,
-    _census_slice,
     _census_stratified,
     _pair_pass,
     oracle_alpha,
@@ -73,29 +73,29 @@ def test_oracle_totals():
 
 
 def test_census_determinism():
-    first = dict(_census_slice(4, 0, None))
-    second = dict(_census_slice(4, 0, None))
+    first = _pair_pass.__wrapped__(4)
+    second = _pair_pass.__wrapped__(4)
     assert first == second
 
 
-def test_census_chunk_decomposition():
-    # splitting the horizontal enumeration into chunks and summing the
-    # partial censuses reproduces the sequential census exactly
-    full = _census(5)
-    merged: dict = {}
-    for lo, hi in [(0, 7), (7, 11), (11, 24)]:
-        for key, value in _census_slice(5, lo, hi).items():
-            merged[key] = merged.get(key, 0) + value
-    assert merged == full
+def test_each_permutation_walked_once(monkeypatch):
+    # the keyed table is the only walk over S_n: the census reads both the
+    # diagonals and the verticals off it, and the stratified census reuses
+    # it, walking only each horizontal once more for its sequence order
+    walks = []
+    real = oracle_module.cycles0
 
+    def counted(images):
+        walks.append(images)
+        return real(images)
 
-def test_alpha_census_chunk_decomposition():
-    full = _alpha_census(5)
-    merged: dict = {}
-    for lo, hi in [(0, 7), (7, 11), (11, 24)]:
-        for key, value in _pair_pass(5, lo, hi)[1].items():
-            merged[key] = merged.get(key, 0) + value
-    assert merged == full
+    monkeypatch.setattr(oracle_module, "cycles0", counted)
+    for name in ("_perm_keys", "_pair_pass", "_census", "_census_stratified"):
+        fresh = lru_cache(maxsize=None)(getattr(oracle_module, name).__wrapped__)
+        monkeypatch.setattr(oracle_module, name, fresh)
+    oracle_module._census(6)
+    oracle_module._census_stratified(6)
+    assert len(walks) == factorial(6) + factorial(5) == 840
 
 
 # Reference enumerations: one tuple per pair, cycle types and cut masks

@@ -1,7 +1,9 @@
+import doctest
 from itertools import combinations
 
 import pytest
 
+from sepcycles import partitions
 from sepcycles.partitions import (
     Composition,
     IntegerPartition,
@@ -29,6 +31,10 @@ def test_partition_normalises_and_validates():
         IntegerPartition(())
     with pytest.raises(ValueError):
         P(3, 0)
+    # non-integer parts are refused, not truncated
+    for parts in ((2.7, 1), ("3",), (2.0,), (None, 1)):
+        with pytest.raises(TypeError, match="entries must be integers"):
+            IntegerPartition(parts)
 
 
 def test_partition_text_forms_round_trip():
@@ -170,9 +176,19 @@ def test_composition_blocks_and_text():
         Composition.from_string("1,,3")
     with pytest.raises(ValueError):
         Composition((0, 2))
+    for parts in ((1.9, 2), ("1", 3), (2.0,)):
+        with pytest.raises(TypeError, match="entries must be integers"):
+            Composition(parts)
     # every composition of n exactly once: one per subset of the n - 1 cuts
     assert [str(c) for c in compositions_of(3)] == ["1,1,1", "1,2", "2,1", "3"]
     for n in range(1, 10):
         alphas = list(compositions_of(n))
         assert all(alpha.n == n for alpha in alphas)
         assert len(set(alphas)) == len(alphas) == 2 ** (n - 1)
+
+
+def test_partitions_doctests_pass():
+    # the examples in partitions_of and merge_multiplicity run as doctests
+    results = doctest.testmod(partitions)
+    assert results.failed == 0
+    assert results.attempted >= 2
