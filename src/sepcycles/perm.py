@@ -14,6 +14,11 @@ of images (a tuple or ``bytes``) on {0..n-1}; :mod:`sepcycles.plane` and
 :mod:`sepcycles.oracle` share it.  The 1-based classes reach it by
 prepending a fixed 0: ``(0, *images)`` is a 0-based permutation of
 {0..n} whose canonical cycles are ``(0,)`` followed by the 1-based ones.
+
+Validation runs on user input only: the public constructor, ``from_cycles``
+and ``parse_permutation`` check their arguments, while results built from
+permutations that are already valid (composition, inverse, n-cycle
+enumeration) go through the unchecked ``Permutation._trusted``.
 """
 from __future__ import annotations
 
@@ -131,6 +136,15 @@ class Permutation:
             raise ValueError(f"not a bijection on [{n}]: {images}")
         object.__setattr__(self, "images", images)
 
+    @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
+        """The permutation with these images, unchecked: only for a tuple
+        of ints that is a bijection on [n] by construction.
+        """
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", images)
+        return p
+
     @property
     def n(self) -> int:
         return len(self.images)
@@ -144,7 +158,7 @@ class Permutation:
         return compose(self, other)
 
     def inverse(self) -> "Permutation":
-        return Permutation(inverse0((0, *self.images))[1:])
+        return Permutation._trusted(inverse0((0, *self.images))[1:])
 
     def is_identity(self) -> bool:
         return all(v == i + 1 for i, v in enumerate(self.images))
@@ -210,7 +224,7 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     if p.n != q.n:
         raise ValueError(f"ground sets differ: [{p.n}] vs [{q.n}]")
     pi = p.images
-    return Permutation(tuple(pi[v - 1] for v in q.images))
+    return Permutation._trusted(tuple([pi[v - 1] for v in q.images]))
 
 
 def cycle_type(p: Permutation) -> IntegerPartition:
@@ -242,7 +256,7 @@ def enumerate_n_cycles(n: int) -> Iterator[Permutation]:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     for images in n_cycles0(n):
-        yield Permutation(tuple(x + 1 for x in images))
+        yield Permutation._trusted(tuple([x + 1 for x in images]))
 
 
 def parse_permutation(text: str, n: int | None = None) -> Permutation:

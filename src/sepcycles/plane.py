@@ -11,6 +11,11 @@ y in s.  An element x is an exceedance when x strictly precedes pi(x),
 an anti-exceedance otherwise (fixed points included).  Each pi-cycle
 contributes one trivial anti-exceedance, the pi-preimage of its earliest
 member; the remaining anti-exceedances are the non-trivial ones (NTAEs).
+
+Validation runs on user input only: the public constructor checks the
+sequence and the vertical, while the moves (``reflect``, ``hat``,
+``transpose_blocks``) build their results from a pair that is already
+valid through the unchecked ``PlanePermutation._trusted``.
 """
 from __future__ import annotations
 
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .partitions import int_tuple
-from .perm import Permutation, inverse0
+from .perm import Permutation, compose, cycles0, from_cycles0, inverse0
 
 
 @dataclass(frozen=True)
@@ -31,12 +36,24 @@ class PlanePermutation:
         n = len(seq)
         if sorted(seq) != list(range(1, n + 1)):
             raise ValueError(f"sequence must arrange [{n}] exactly once: {seq}")
+        if not isinstance(self.pi, Permutation):
+            raise TypeError(f"the vertical must be a Permutation, got {type(self.pi).__name__}")
         if self.pi.n != n:
             raise ValueError(f"sequence on [{n}] but vertical on [{self.pi.n}]")
         if seq[0] != 1:
             at = seq.index(1)
             seq = seq[at:] + seq[:at]
         object.__setattr__(self, "seq", seq)
+
+    @classmethod
+    def _trusted(cls, seq: tuple[int, ...], pi: Permutation) -> "PlanePermutation":
+        """The pair (seq, pi), unchecked: only for a tuple of ints that
+        arranges [n] with seq[0] == 1 and a Permutation on the same [n].
+        """
+        pp = object.__new__(cls)
+        object.__setattr__(pp, "seq", seq)
+        object.__setattr__(pp, "pi", pi)
+        return pp
 
     @property
     def n(self) -> int:
@@ -45,7 +62,7 @@ class PlanePermutation:
     @cached_property
     def s(self) -> Permutation:
         """The upper horizontal as a permutation: seq[i] -> seq[i+1]."""
-        return Permutation.from_cycle_sequence(self.seq)
+        return Permutation._trusted(from_cycles0((self.seq,), self.n + 1)[1:])
 
     @cached_property
     def _pos(self) -> tuple[int, ...]:
@@ -57,8 +74,13 @@ class PlanePermutation:
         """Sequence order: a appears strictly before b."""
         return self._pos[a] < self._pos[b]
 
+    @cached_property
+    def _diagonal(self) -> Permutation:
+        return compose(self.s, self.pi.inverse())
+
     def diagonal(self) -> Permutation:
-        return self.s * self.pi.inverse()
+        """D = s * pi^-1, computed once per pair."""
+        return self._diagonal
 
     def classify_elements(self) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
         """Partition [n] into (exceedances, trivial anti-exceedances, NTAEs)."""
@@ -77,7 +99,19 @@ class PlanePermutation:
         return len(self.classify_elements()[0])
 
     def ntae_count(self) -> int:
-        return len(self.classify_elements()[2])
+        """Anti-exceedances x, pos[x] >= pos[pi(x)], that are not the
+        pi-preimage of the earliest member of their cycle.
+        """
+        pos = self._pos
+        count = 0
+        for cycle in cycles0((0, *self.pi.images))[1:]:
+            earliest = min(cycle, key=pos.__getitem__)
+            x = cycle[-1]
+            for y in cycle:  # y = pi(x)
+                if pos[x] >= pos[y] and y != earliest:
+                    count += 1
+                x = y
+        return count
 
     def transpose_blocks(self, h: tuple[int, int, int]) -> "PlanePermutation":
         """Swap the adjacent diagonal blocks spanned by seq[i..j] and
@@ -85,17 +119,21 @@ class PlanePermutation:
         anchor s0 never moves).  The diagonal is preserved; the vertical
         changes only at the images of s_{i-1}, s_j and s_k.
         """
-        i, j, k = h
+        indices = int_tuple(h)
+        if len(indices) != 3:
+            raise ValueError(f"need three indices (i, j, k), got {h}")
+        i, j, k = indices
         if not (1 <= i <= j < k <= self.n - 1):
             raise ValueError(f"need 1 <= i <= j < k <= {self.n - 1}, got {h}")
         seq = self.seq
         new_seq = seq[:i] + seq[j + 1:k + 1] + seq[i:j + 1] + seq[k + 1:]
-        images = list(self.pi.images)
+        old = self.pi.images
+        images = list(old)
         a, b, c = seq[i - 1], seq[j], seq[k]
-        images[a - 1] = self.pi.images[b - 1]
-        images[b - 1] = self.pi.images[c - 1]
-        images[c - 1] = self.pi.images[a - 1]
-        return PlanePermutation(new_seq, Permutation(tuple(images)))
+        images[a - 1] = old[b - 1]
+        images[b - 1] = old[c - 1]
+        images[c - 1] = old[a - 1]
+        return PlanePermutation._trusted(new_seq, Permutation._trusted(tuple(images)))
 
     def reflect(self) -> "PlanePermutation":
         """The mirror pair (s^-1, D^-1), re-anchored at 1.
@@ -104,7 +142,7 @@ class PlanePermutation:
         to n + 1 - C(pi) - C(D).
         """
         rev = (self.seq[0],) + self.seq[:0:-1]
-        return PlanePermutation(rev, self.diagonal().inverse())
+        return PlanePermutation._trusted(rev, self.diagonal().inverse())
 
     def hat(self) -> "PlanePermutation":
         """Double cover on [2n] whose diagonal is a fixed-point-free
@@ -120,7 +158,7 @@ class PlanePermutation:
         new_seq = tuple(y for x in self.seq for y in (x, x + n))
         companions = (self.pi.inverse() * self.s).images
         images = self.pi.images + tuple(n + x for x in companions)
-        return PlanePermutation(new_seq, Permutation(images))
+        return PlanePermutation._trusted(new_seq, Permutation._trusted(images))
 
     def two_row_str(self, bar_from: int | None = None) -> str:
         """Render the two-row array; elements above bar_from print as

@@ -6,7 +6,7 @@ import pytest
 
 from sepcycles.oracle import _census_stratified
 from sepcycles.partitions import IntegerPartition
-from sepcycles.perm import Permutation, enumerate_n_cycles, separates
+from sepcycles.perm import Permutation, compose, enumerate_n_cycles, separates
 from sepcycles.plane import PlanePermutation
 
 
@@ -43,6 +43,47 @@ def test_constructor_anchors_at_one():
         PlanePermutation((1, 1, 2), Permutation.identity(3))
     with pytest.raises(ValueError):
         PlanePermutation((1, 2, 3), Permutation.identity(4))
+
+
+def test_constructor_requires_permutation_vertical():
+    with pytest.raises(TypeError, match="Permutation"):
+        PlanePermutation((1, 2, 3), (2, 3, 1))
+
+
+def assert_matches_public_permutation(p):
+    assert type(p.images) is tuple
+    assert all(type(x) is int for x in p.images)
+    rebuilt = Permutation(p.images)
+    assert p == rebuilt and hash(p) == hash(rebuilt)
+
+
+def assert_matches_public_plane(pp):
+    assert type(pp.seq) is tuple
+    assert all(type(x) is int for x in pp.seq)
+    assert pp.seq[0] == 1
+    assert_matches_public_permutation(pp.pi)
+    rebuilt = PlanePermutation(pp.seq, Permutation(pp.pi.images))
+    assert pp == rebuilt and hash(pp) == hash(rebuilt)
+    assert pp.ntae_count() == len(pp.classify_elements()[2])
+
+
+def test_unchecked_results_match_public_constructors_exhaustive():
+    # every object that compose, inverse, s, diagonal, reflect, hat and
+    # transpose_blocks build without validation equals its validated
+    # rebuild, on every plane permutation of n <= 5
+    for n in range(1, 6):
+        for s in enumerate_n_cycles(n):
+            assert_matches_public_permutation(s)
+        for pp in all_plane_permutations(n):
+            assert_matches_public_plane(pp)
+            for p in (compose(pp.pi, pp.s), pp.pi.inverse(), pp.s, pp.diagonal()):
+                assert_matches_public_permutation(p)
+            assert_matches_public_plane(pp.reflect())
+            assert_matches_public_plane(pp.hat())
+            for i in range(1, n):
+                for j in range(i, n):
+                    for k in range(j + 1, n):
+                        assert_matches_public_plane(pp.transpose_blocks((i, j, k)))
 
 
 def test_diagonal_formula_and_pairing():
@@ -154,8 +195,11 @@ def test_transpose_blocks_invariants_exhaustive():
 
 def test_transpose_blocks_rejects_bad_indices():
     pp = PlanePermutation((1, 2, 3, 4), Permutation.identity(4))
-    for h in [(0, 1, 2), (1, 3, 3), (2, 1, 3), (1, 1, 4), (3, 3, 2)]:
+    for h in [(0, 1, 2), (1, 3, 3), (2, 1, 3), (1, 1, 4), (3, 3, 2), (1, 2), (1, 1, 2, 3)]:
         with pytest.raises(ValueError):
+            pp.transpose_blocks(h)
+    for h in [(1, 2.0, 3), (1, "2", 3)]:
+        with pytest.raises(TypeError, match="entries must be integers"):
             pp.transpose_blocks(h)
 
 
