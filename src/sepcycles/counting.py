@@ -27,8 +27,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import comb, factorial
-from typing import Iterator, Literal
+from math import comb, factorial, prod
+from typing import Literal
 
 from . import oracle as _oracle
 from .partitions import (
@@ -198,11 +198,15 @@ def p_base(
 
     The sum runs over the size r of a distinguished root group of
     vertical parts together with ordered splittings of the remaining
-    oversized parts.  The binomial argument admits two candidate
-    spellings (l1 - b - 1 vs l1 - b + 1 for r > 1); both are implemented
-    and ``reading`` selects one.  With reading=None the spelling is
-    resolved once by exhaustive comparison against the oracle (see
-    :func:`resolve_p_base_reading`); the minus spelling wins.
+    oversized parts.  The splittings that pick b of the P oversized
+    parts v left in r's pool weigh, together, one polynomial coefficient
+    b! (P-b)! / prod mult_v! * [x^b] prod_v (1 + (v+1) x)^mult_v, so S
+    costs one polynomial per r (see :func:`_p_base_sum`).  The binomial
+    argument admits two candidate spellings (l1 - b - 1 vs l1 - b + 1
+    for r > 1); both are implemented and ``reading`` selects one.  With
+    reading=None the spelling is resolved once by exhaustive comparison
+    against the oracle (see :func:`resolve_p_base_reading`); the minus
+    spelling wins.
     """
     _check_base_pair(lam, mu, m)
     if reading is None:
@@ -223,9 +227,7 @@ def _lam_factor(lam: IntegerPartition, m: int, kind: str) -> tuple[int, int]:
     """
     n, t = lam.n, lam.length
     d = n + 1 - t
-    den = 1
-    for a in lam.multiplicities().values():
-        den *= factorial(a)
+    den = prod(map(factorial, lam.multiplicities().values()))
     if kind == "i":
         return factorial(t - 1) * factorial(d - 1) * factorial(n - m), den
     # separating one element constrains nothing, exactly like m = 0, and
@@ -247,10 +249,7 @@ def _mu_factor(mu: IntegerPartition, m: int, kind: str, reading: str | None) -> 
     b1 = mult.pop(1, 0)
     if b1 < m:
         return 0, 1
-    den = factorial(b1 - m)
-    for b in mult.values():
-        den *= factorial(b)
-    return 1, den
+    return 1, factorial(b1 - m) * prod(map(factorial, mult.values()))
 
 
 def _boundary_term(
@@ -291,6 +290,13 @@ def _p_base_sum(mu_parts: tuple[int, ...], mm: int, reading: str) -> int:
     """The tuple sum of :func:`p_base`: it depends on the vertical type,
     the effective m and the spelling only, never on the diagonal type, so
     every lam on the boundary with mu shares it.
+
+    For a root part r the pool holds the oversized parts v = part - 1 of
+    mu, less one copy of r - 1 when r > 1: mult_v copies of v, P in all.
+    Over the size-b sub-multisets ``chosen`` of the pool, the sum of
+    arrangements(chosen) * arrangements(rest) * prod (v + 1)^{c_v} is
+    b! (P - b)! / prod_v mult_v! * [x^b] prod_v (1 + (v + 1) x)^mult_v:
+    one polynomial per r, one checked division per (r, b).
     """
     d = len(mu_parts)
     oversized = Counter(p - 1 for p in mu_parts if p > 1)
@@ -299,27 +305,31 @@ def _p_base_sum(mu_parts: tuple[int, ...], mm: int, reading: str) -> int:
     for r in sorted(set(mu_parts)):
         delta = 0 if r == 1 else 1
         pool = oversized.copy()
-        if r > 1:
-            pool[r - 1] -= 1
-            if not pool[r - 1]:
-                del pool[r - 1]
-        pool_size = sum(pool.values())
-        for b in range(0, min(mm - 1, pool_size) + 1):
+        pool[r - 1] -= delta  # a root r > 1 takes one copy of r - 1
+        pool_size = ell1 - delta
+        top = min(mm - 1, pool_size)
+        coefficients = _pool_polynomial(pool, top)
+        den = prod(map(factorial, pool.values()))
+        for b in range(top + 1):
             arg = ell1 - b - delta if reading == "minus" else ell1 - b + delta
             outer = binom(d - mm, arg) * binom(mm - 1, b) * r
-            if outer == 0:
-                continue
-            for chosen in _sub_multisets(pool, b):
-                rest = pool - chosen
-                orderings = _multiset_arrangements(chosen) * _multiset_arrangements(rest)
-                weight = 1
-                for value, count in chosen.items():
-                    weight *= (value + 1) ** count
-                total += outer * weight * orderings
+            if outer:
+                orderings = factorial(b) * factorial(pool_size - b) * coefficients[b]
+                total += outer * exact_div(orderings, den)
     return total
 
 
-def _check_base_pair(lam: IntegerPartition, mu: IntegerPartition, m: int) -> int:
+def _pool_polynomial(pool: Counter, top: int) -> list[int]:
+    """Coefficients of x^0..x^top in prod_v (1 + (v + 1) x)^pool[v]."""
+    coefficients = [1] + [0] * top
+    for value, count in pool.items():
+        for _ in range(count):
+            for i in range(top, 0, -1):
+                coefficients[i] += (value + 1) * coefficients[i - 1]
+    return coefficients
+
+
+def _check_base_pair(lam: IntegerPartition, mu: IntegerPartition, m: int) -> None:
     n = lam.n
     if mu.n != n:
         raise ValueError(f"partitions of different n: {lam} vs {mu}")
@@ -330,35 +340,6 @@ def _check_base_pair(lam: IntegerPartition, mu: IntegerPartition, m: int) -> int
         )
     if not 0 <= m <= n:
         raise ValueError(f"m must satisfy 0 <= m <= {n}, got {m}")
-    return n
-
-
-def _sub_multisets(pool: Counter, size: int) -> Iterator[Counter]:
-    """Distinct sub-multisets of the given size."""
-    values = sorted(pool)
-
-    def rec(idx: int, remaining: int) -> Iterator[Counter]:
-        if remaining == 0:
-            yield Counter()
-            return
-        if idx == len(values):
-            return
-        value = values[idx]
-        for take in range(min(pool[value], remaining), -1, -1):
-            for rest in rec(idx + 1, remaining - take):
-                if take:
-                    rest = rest.copy()
-                    rest[value] = take
-                yield rest
-
-    yield from rec(0, size)
-
-
-def _multiset_arrangements(counter: Counter) -> int:
-    total = factorial(sum(counter.values()))
-    for count in counter.values():
-        total = exact_div(total, factorial(count))
-    return total
 
 
 _READING_CACHE: dict = {}
@@ -391,9 +372,7 @@ def resolve_p_base_reading(max_n: int = 6) -> str:
             f"initial-value spelling not uniquely resolved: survivors={survivors}, "
             f"mismatch counts={ {r: len(v) for r, v in mismatches.items()} }"
         )
-    _READING_CACHE.update(
-        result=survivors[0], max_n=max_n, mismatches=mismatches
-    )
+    _READING_CACHE.update(result=survivors[0], max_n=max_n, mismatches=mismatches)
     return survivors[0]
 
 
@@ -548,10 +527,7 @@ def sep_prob_ncycle(n: int, m: int) -> Fraction:
     distinct cycles: 1/m! when n - m is odd, with an extra
     2/((m-2)!(n+1-m)(n+m)) otherwise.  Trivially 1 for m <= 1.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not 0 <= m <= n:
-        raise ValueError(f"m must satisfy 0 <= m <= {n}, got {m}")
+    _check_nm(n, m)
     if m <= 1:
         return Fraction(1)
     result = Fraction(1, factorial(m))
@@ -581,9 +557,8 @@ def fixed_point_pair_counts(n: int) -> tuple[int, ...]:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     total_pairs = factorial(n - 1) ** 2
-    fixing = []  # fixing[j]: pairs whose product fixes a given j-set pointwise
-    for j in range(n):
-        fixing.append(exact_div(total_pairs, factorial(j) * comb(n - 1, j)))
+    # fixing[j]: pairs whose product fixes a given j-set pointwise
+    fixing = [exact_div(total_pairs, factorial(j) * comb(n - 1, j)) for j in range(n)]
     fixing.append(factorial(n - 1))  # product is forced to the identity
     counts = []
     for i in range(n + 1):
@@ -667,19 +642,22 @@ class CountTable:
             self.entries.items(), key=lambda kv: (kv[0][0].parts, kv[0][1]),
             reverse=True,
         )
+        # one label per diagonal type, not one per entry
+        labels = {lam.parts: lam for lam, _ in self.entries}
+        labels = {parts: str(lam) for parts, lam in labels.items()}
         return {
             "n": self.n,
             "m": self.m,
             "kind": self.kind,
             "source": self.source,
             "entries": [
-                {"lambda": str(lam), "k": k, "value": str(value)}
+                {"lambda": labels[lam.parts], "k": k, "value": str(value)}
                 for (lam, k), value in items
             ],
         }
 
     def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
+        return table_json(self.to_json_dict(), indent)
 
     @staticmethod
     def from_json_dict(data: dict) -> "CountTable":
@@ -695,6 +673,28 @@ class CountTable:
     @staticmethod
     def from_json(text: str) -> "CountTable":
         return CountTable.from_json_dict(json.loads(text))
+
+
+def table_json(record: dict, indent: int | None = 2) -> str:
+    """``json.dumps(record, indent=indent)``, byte for byte, for a table
+    record: scalars, and under "entries" a list of {"lambda", "k",
+    "value"} records in that key order (see :meth:`CountTable.to_json_dict`).
+
+    An indent turns off json's C encoder, so the entries are written here,
+    one f-string each with json's own string encoder, and spliced into
+    the dump of the rest; the key "entries" occurs once in that dump.
+    """
+    if indent is None or not record["entries"]:
+        return json.dumps(record, indent=indent)
+    string, pad = json.encoder.encode_basestring_ascii, " " * indent
+    p2, p3 = pad * 2, pad * 3
+    body = ",\n".join(
+        f'{p2}{{\n{p3}"lambda": {string(e["lambda"])},\n{p3}"k": {e["k"]},\n'
+        f'{p3}"value": {string(e["value"])}\n{p2}}}'
+        for e in record["entries"]
+    )
+    rest = json.dumps({**record, "entries": []}, indent=indent)
+    return rest.replace('"entries": []', f'"entries": [\n{body}\n{pad}]', 1)
 
 
 def build_count_table(

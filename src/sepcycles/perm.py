@@ -201,7 +201,7 @@ class Permutation:
         cycle are fixed points; with n omitted the cycles must cover
         [max element] completely.
         """
-        cycles = [tuple(c) for c in cycles]
+        cycles = [int_tuple(c) for c in cycles]
         elements = [x for c in cycles for x in c]
         if n is None:
             if not elements:
@@ -209,9 +209,12 @@ class Permutation:
             n = max(elements)
             if sorted(elements) != list(range(1, n + 1)):
                 raise ValueError("cycles must partition [n]; pass n to allow implicit fixed points")
+        if n < 1:
+            raise ValueError("ground set must have at least one element")
         if not all(1 <= x <= n for x in elements) or len(set(elements)) != len(elements):
             raise ValueError(f"cycles are not disjoint subsets of [{n}]: {cycles}")
-        return Permutation(from_cycles0(cycles, n + 1)[1:])
+        # disjoint cycles inside [n]: the images are a bijection of ints
+        return Permutation._trusted(from_cycles0(cycles, n + 1)[1:])
 
     @staticmethod
     def from_cycle_sequence(seq: Sequence[int]) -> "Permutation":

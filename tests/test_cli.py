@@ -152,6 +152,17 @@ def test_table_command(capsys, refuse_census):
     assert oracle_data["entries"] == data["entries"]
 
 
+@pytest.mark.parametrize("n, m, kind", [(1, 0, "p"), (5, 2, "i"), (9, 3, "p")])
+def test_table_stdout_is_indented_json_of_its_record(capsys, n, m, kind):
+    # the table record has its own serializer; the bytes must be exactly
+    # what json.dumps(..., indent=2) writes, time_seconds included
+    code, out, err = run_cli(capsys, "table", "--n", str(n), "--m", str(m), "--kind", kind)
+    assert code == 0, err
+    payload = json.loads(out)
+    assert list(payload)[-2:] == ["entries", "time_seconds"]
+    assert out == json.dumps(payload, indent=2) + "\n"
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "out.json"
     code, out, _ = run_cli(

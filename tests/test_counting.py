@@ -1,4 +1,6 @@
+import json
 import re
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -239,6 +241,84 @@ def test_p_base_sum_cache_keeps_readings_apart():
             for lam in (P(3, 1), P(2, 2)):
                 assert p_base(lam, mu, 2, reading=reading) == expected[(lam, reading)]
     assert resolve_p_base_reading() == "minus"
+
+
+def _sub_multisets(pool, size):
+    """Distinct sub-multisets of the given size of a Counter."""
+    values = sorted(pool)
+
+    def rec(idx, remaining):
+        if remaining == 0:
+            yield Counter()
+            return
+        if idx == len(values):
+            return
+        value = values[idx]
+        for take in range(min(pool[value], remaining), -1, -1):
+            for rest in rec(idx + 1, remaining - take):
+                if take:
+                    rest = rest.copy()
+                    rest[value] = take
+                yield rest
+
+    yield from rec(0, size)
+
+
+def _arrangements(counter):
+    return factorial(sum(counter.values())) // prod(map(factorial, counter.values()))
+
+
+def reference_p_base_sum(mu_parts, mm, reading):
+    """The tuple sum of p_base by its definition: one term per root part
+    r, size b and size-b sub-multiset of the root's pool."""
+    d = len(mu_parts)
+    oversized = Counter(p - 1 for p in mu_parts if p > 1)
+    ell1 = sum(oversized.values())
+    total = 0
+    for r in sorted(set(mu_parts)):
+        delta = 0 if r == 1 else 1
+        pool = oversized.copy()
+        if r > 1:
+            pool[r - 1] -= 1
+        pool = +pool
+        for b in range(0, min(mm - 1, sum(pool.values())) + 1):
+            arg = ell1 - b - delta if reading == "minus" else ell1 - b + delta
+            outer = binom(d - mm, arg) * binom(mm - 1, b) * r
+            for chosen in _sub_multisets(pool, b):
+                weight = prod((value + 1) ** count for value, count in chosen.items())
+                total += outer * weight * _arrangements(chosen) * _arrangements(pool - chosen)
+    return total
+
+
+def test_p_base_sum_matches_sub_multiset_enumeration():
+    # the coefficient identity against the sum it replaces, on every
+    # vertical type with n <= 12, every effective m and both spellings
+    cases = 0
+    for n in range(1, 13):
+        for mu in partitions_of(n):
+            for mm in range(1, n + 1):
+                for reading in ("minus", "plus"):
+                    expected = reference_p_base_sum(mu.parts, mm, reading)
+                    assert _p_base_sum.__wrapped__(mu.parts, mm, reading) == expected, (
+                        mu, mm, reading)
+                    cases += 1
+    assert cases == 2 * sum(n * len(partitions_of(n)) for n in range(1, 13))
+
+
+def test_p_base_sum_division_is_checked(monkeypatch):
+    # mu = 3+3+3, mm = 2: the root 3 leaves the pool {2, 2}, so the b = 1
+    # term is 1! 1! [x^1] (1 + 3x)^2 / 2! = 6 / 2.  One more in that
+    # coefficient makes the division inexact; it must raise, not round.
+    assert _p_base_sum.__wrapped__((3, 3, 3), 2, "minus") == reference_p_base_sum(
+        (3, 3, 3), 2, "minus")
+    real = counting._pool_polynomial
+
+    def skewed(pool, top):
+        return [c + (b == 1) for b, c in enumerate(real(pool, top))]
+
+    monkeypatch.setattr(counting, "_pool_polynomial", skewed)
+    with pytest.raises(ArithmeticError, match=re.escape("7 / 2 leaves 1")):
+        _p_base_sum.__wrapped__((3, 3, 3), 2, "minus")
 
 
 def test_lambda_pipeline_matches_ncycle_closed_form():
@@ -539,6 +619,24 @@ def test_count_table_round_trip():
     # every stored value is positive and serialized as a decimal string
     data = table.to_json_dict()
     assert all(isinstance(e["value"], str) for e in data["entries"])
+
+
+def test_to_json_is_json_dumps_of_to_json_dict():
+    # the table serializer writes json.dumps's exact bytes, for every
+    # table with n <= 9 and for a table with no entries
+    tables = [
+        build_count_table(n, m, kind=kind)
+        for n in range(1, 10)
+        for kind in "pi"
+        for m in range(min(n, 3) + 1)
+    ]
+    tables.append(CountTable(n=3, m=0, kind="p", source="recurrence"))
+    assert sum(not t.entries for t in tables) == 1
+    for table in tables:
+        data = table.to_json_dict()
+        assert table.to_json() == json.dumps(data, indent=2)
+        for indent in (None, 4):
+            assert table.to_json(indent=indent) == json.dumps(data, indent=indent)
 
 
 def test_count_table_oracle_source():

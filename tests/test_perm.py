@@ -50,6 +50,42 @@ def test_non_integer_entries_rejected(bad):
         PlanePermutation(bad, Permutation.identity(2))
 
 
+@pytest.mark.parametrize("bad", [1.5, "2"])
+def test_from_cycles_rejects_non_integer_entries(bad):
+    # refused up front with the constructor's message, not as an indexing
+    # or comparison error from inside the cycle builder
+    for n in (None, 3):
+        with pytest.raises(TypeError, match="entries must be integers"):
+            Permutation.from_cycles([(1, bad, 3)], n=n)
+    with pytest.raises(TypeError, match="entries must be integers"):
+        Permutation.from_cycle_sequence((3, 1, bad))
+    with pytest.raises(TypeError, match="entries must be integers"):
+        Permutation.from_cycles([(1, 2), (3, bad)], n=4)
+    with pytest.raises(ValueError, match="ground set must have at least one element"):
+        Permutation.from_cycles([], n=0)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_from_cycles_matches_public_constructor_exhaustive(n):
+    # from_cycles builds its result unchecked: every cycle form of every
+    # permutation of [n] (canonical, without fixed points, reordered and
+    # rotated) must give what the public constructor gives
+    for images in permutations(range(1, n + 1)):
+        expected = Permutation(images)
+        cycles = expected.cycles()
+        moved = [c for c in cycles if len(c) > 1]
+        rotated = [c[1:] + c[:1] for c in reversed(cycles)]
+        for form, size in ((cycles, None), (cycles, n), (moved, n), (rotated, None),
+                           (rotated, n)):
+            got = Permutation.from_cycles(form, n=size)
+            assert got == expected and hash(got) == hash(expected)
+            assert type(got.images) is tuple
+            assert all(type(x) is int for x in got.images)
+        assert parse_permutation(expected.cycle_string()) == expected
+        if len(cycles) == 1:
+            assert Permutation.from_cycle_sequence(rotated[0]) == expected
+
+
 def _orbit(p, x):
     orbit, y = {x}, p[x]
     while y != x:
