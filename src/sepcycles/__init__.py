@@ -22,7 +22,6 @@ from .counting import (
     p_base,
     p_lambda,
     p_ncycle,
-    resolve_p_base_reading,
     sep_prob_ncycle,
     stirling_c,
 )
@@ -54,6 +53,7 @@ from .perm import (
     separates,
 )
 from .plane import PlanePermutation
+from .verify import resolve_p_base_reading
 
 __version__ = "0.1.0"
 

@@ -32,6 +32,8 @@ COUNT_QUANTITIES = (
     "i-lambda", "alpha",
 )
 PROB_QUANTITIES = ("separation", "isolation", "fpf", "moments")
+# the quantities with no enumeration to answer --source oracle from
+FORMULA_ONLY = ("stirling", "c-sep", "c-fix")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -93,7 +95,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--alpha", metavar="COMPOSITION",
                          help="composition, e.g. 1,3")
     p_count.add_argument("--source", choices=["formula", "oracle"], default="formula",
-                         help="compute by formula/recurrence or by enumeration")
+                         help="compute by formula/recurrence or by enumeration "
+                              "(no enumeration for stirling, c-sep, c-fix)")
     p_count.add_argument("--cap", type=int, default=None,
                          help="oracle enumeration cap (default 7, hard max 9)")
 
@@ -161,6 +164,8 @@ def _need(args, *names):
 
 def _run_count(args, cap) -> list[dict]:
     q = args.quantity
+    if args.source == "oracle" and q in FORMULA_ONLY:
+        raise ValueError(f"--source oracle is not available for {q}")
     records = []
     if q == "alpha":
         _need(args, "alpha")
@@ -199,7 +204,8 @@ def _run_count(args, cap) -> list[dict]:
 
     # quantity -> (formula, the source it reports, enumeration or None), each
     # called as f(lam, m, k); lam is the n-cycle type (n) unless --lambda
-    # gives it.  Enumeration runs only on --source oracle.
+    # gives it.  Enumeration runs only on --source oracle, which is refused
+    # above where the enumeration is None.
     methods = {
         "c-sep": (lambda lam, m, k: counting.c_sep(lam.n, k, m), "closed_form", None),
         "c-fix": (lambda lam, m, k: counting.c_fix(lam.n, k, m), "closed_form", None),
@@ -211,7 +217,7 @@ def _run_count(args, cap) -> list[dict]:
         "i-lambda": (counting.i_lambda, "recurrence", oracle.oracle_i),
     }
     value_of, source, enumeration = methods[q]
-    if args.source == "oracle" and enumeration is not None:
+    if args.source == "oracle":
         value_of, source = partial(enumeration, cap=cap), "oracle"
     for k in ks:
         started = time.perf_counter()

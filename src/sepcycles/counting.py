@@ -182,15 +182,10 @@ def i_base(lam: IntegerPartition, mu: IntegerPartition, m: int) -> int:
     The version here matches exhaustive enumeration on all of n <= 6.
     """
     _check_base_pair(lam, mu, m)
-    return _boundary_term(lam, mu, m, _lam_factor(lam, m, "i"), _mu_factor(mu, m, "i", None))
+    return _boundary_term(lam, mu, m, _lam_factor(lam, m, "i"), _mu_factor(mu, m, "i"))
 
 
-def p_base(
-    lam: IntegerPartition,
-    mu: IntegerPartition,
-    m: int,
-    reading: str | None = None,
-) -> int:
+def p_base(lam: IntegerPartition, mu: IntegerPartition, m: int) -> int:
     """Plane permutations with diagonal type lam and vertical of exact
     type mu separating 1..m, on the boundary l(lam) + l(mu) = n + 1:
     (t-1)! (d-1)! (n-mm)! S / ((d-mm)! prod mult_lam!) with mm = max(m, 1)
@@ -201,19 +196,15 @@ def p_base(
     oversized parts.  The splittings that pick b of the P oversized
     parts v left in r's pool weigh, together, one polynomial coefficient
     b! (P-b)! / prod mult_v! * [x^b] prod_v (1 + (v+1) x)^mult_v, so S
-    costs one polynomial per r (see :func:`_p_base_sum`).  The binomial
-    argument admits two candidate spellings (l1 - b - 1 vs l1 - b + 1
-    for r > 1); both are implemented and ``reading`` selects one.  With
-    reading=None the spelling is resolved once by exhaustive comparison
-    against the oracle (see :func:`resolve_p_base_reading`); the minus
-    spelling wins.
+    costs one polynomial per r (see :func:`_p_base_sum`).  Its binomial
+    argument is l1 - b - 1 for r > 1 (the "minus" spelling).  The other
+    candidate, l1 - b + 1, misses the exhaustive enumeration on 120 of
+    the 250 boundary triples with n <= 6, so it is not implemented;
+    :func:`sepcycles.verify.resolve_p_base_reading` checks this spelling
+    against the census when asked, and nothing here runs it.
     """
     _check_base_pair(lam, mu, m)
-    if reading is None:
-        reading = resolve_p_base_reading()
-    if reading not in ("minus", "plus"):
-        raise ValueError(f"reading must be 'minus' or 'plus', got {reading!r}")
-    return _boundary_term(lam, mu, m, _lam_factor(lam, m, "p"), _mu_factor(mu, m, "p", reading))
+    return _boundary_term(lam, mu, m, _lam_factor(lam, m, "p"), _mu_factor(mu, m, "p"))
 
 
 # A boundary value is (lam part) * (mu part), one exact division.  On the
@@ -238,13 +229,13 @@ def _lam_factor(lam: IntegerPartition, m: int, kind: str) -> tuple[int, int]:
     return factorial(t - 1) * factorial(d - 1) * factorial(n - mm), den * factorial(d - mm)
 
 
-def _mu_factor(mu: IntegerPartition, m: int, kind: str, reading: str | None) -> tuple[int, int]:
+def _mu_factor(mu: IntegerPartition, m: int, kind: str) -> tuple[int, int]:
     """The factor (numerator, denominator) of a boundary value that
     depends on the vertical type only: the tuple sum for ``p``, the
     multiplicity factorials for ``i``.
     """
     if kind == "p":
-        return _p_base_sum(mu.parts, max(m, 1), reading), 1
+        return _p_base_sum(mu.parts, max(m, 1)), 1
     mult = mu.multiplicities()
     b1 = mult.pop(1, 0)
     if b1 < m:
@@ -276,20 +267,19 @@ def _boundary_row(
     built once per (n, d, m, kind) and shared by every diagonal type of
     length n + 1 - d.  Types whose values all vanish are left out.
     """
-    reading = resolve_p_base_reading() if kind == "p" else None
     row = []
     for mu in partitions_with_length(n, d):
-        factor = _mu_factor(mu, m, kind, reading)
+        factor = _mu_factor(mu, m, kind)
         if factor[0]:
             row.append((mu, factor))
     return tuple(row)
 
 
 @lru_cache(maxsize=None)
-def _p_base_sum(mu_parts: tuple[int, ...], mm: int, reading: str) -> int:
-    """The tuple sum of :func:`p_base`: it depends on the vertical type,
-    the effective m and the spelling only, never on the diagonal type, so
-    every lam on the boundary with mu shares it.
+def _p_base_sum(mu_parts: tuple[int, ...], mm: int) -> int:
+    """The tuple sum of :func:`p_base`: it depends on the vertical type
+    and the effective m only, never on the diagonal type, so every lam on
+    the boundary with mu shares it.
 
     For a root part r the pool holds the oversized parts v = part - 1 of
     mu, less one copy of r - 1 when r > 1: mult_v copies of v, P in all.
@@ -311,8 +301,7 @@ def _p_base_sum(mu_parts: tuple[int, ...], mm: int, reading: str) -> int:
         coefficients = _pool_polynomial(pool, top)
         den = prod(map(factorial, pool.values()))
         for b in range(top + 1):
-            arg = ell1 - b - delta if reading == "minus" else ell1 - b + delta
-            outer = binom(d - mm, arg) * binom(mm - 1, b) * r
+            outer = binom(d - mm, ell1 - b - delta) * binom(mm - 1, b) * r
             if outer:
                 orderings = factorial(b) * factorial(pool_size - b) * coefficients[b]
                 total += outer * exact_div(orderings, den)
@@ -340,40 +329,6 @@ def _check_base_pair(lam: IntegerPartition, mu: IntegerPartition, m: int) -> Non
         )
     if not 0 <= m <= n:
         raise ValueError(f"m must satisfy 0 <= m <= {n}, got {m}")
-
-
-_READING_CACHE: dict = {}
-
-
-def resolve_p_base_reading(max_n: int = 6) -> str:
-    """Decide the binomial spelling in :func:`p_base` by exhaustive
-    comparison with the oracle over every boundary pair (lam, mu) and
-    every m with n <= max_n.  Exactly one spelling must survive;
-    anything else raises.  The outcome is cached for the process.
-    """
-    cached = _READING_CACHE.get("result")
-    if cached is not None and _READING_CACHE["max_n"] >= max_n:
-        return cached
-    mismatches: dict[str, list] = {"minus": [], "plus": []}
-    for n in range(1, max_n + 1):
-        for lam in partitions_of(n):
-            for mu in partitions_of(n):
-                if lam.length + mu.length != n + 1:
-                    continue
-                for m in range(0, n + 1):
-                    expected = _oracle.oracle_p_by_vertical_type(lam, mu, m)
-                    for reading in ("minus", "plus"):
-                        got = p_base(lam, mu, m, reading=reading)
-                        if got != expected:
-                            mismatches[reading].append((str(lam), str(mu), m, got, expected))
-    survivors = [r for r, bad in mismatches.items() if not bad]
-    if len(survivors) != 1:
-        raise RuntimeError(
-            f"initial-value spelling not uniquely resolved: survivors={survivors}, "
-            f"mismatch counts={ {r: len(v) for r, v in mismatches.items()} }"
-        )
-    _READING_CACHE.update(result=survivors[0], max_n=max_n, mismatches=mismatches)
-    return survivors[0]
 
 
 # ---------------------------------------------------------------------------
@@ -498,10 +453,9 @@ def p_lambda(
     k cycles separating 1..m, computed by the downward defect recurrence.
 
     ``base`` picks the defect-0 source: the boundary closed form
-    :func:`p_base` ("closed_form", the default at every n; its binomial
-    spelling is self-checked against the oracle on first use) or
-    exhaustive enumeration ("oracle", an independent check that refuses
-    n above ``cap``).
+    :func:`p_base` ("closed_form", the default at every n; it never
+    enumerates) or exhaustive enumeration ("oracle", an independent check
+    that refuses n above ``cap``).
     """
     return _lambda_value(lam, m, k, "p", base, cap)
 

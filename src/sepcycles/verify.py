@@ -137,22 +137,7 @@ def suite_recurrences(max_n: int, cap: int | None = None) -> list[CheckRecord]:
                             {"lambda": str(lam), "m": m, "k": k, "base": base},
                             counting.i_lambda(lam, m, k, base=base, cap=cap), expected_i,
                         )
-            for mu in partitions_of(n):
-                if lam.length + mu.length != n + 1:
-                    continue
-                for m in range(0, n + 1):
-                    _record(
-                        records, suite, "p-initial",
-                        {"lambda": str(lam), "mu": str(mu), "m": m},
-                        counting.p_base(lam, mu, m),
-                        oracle.oracle_p_by_vertical_type(lam, mu, m, cap=cap),
-                    )
-                    _record(
-                        records, suite, "i-initial",
-                        {"lambda": str(lam), "mu": str(mu), "m": m},
-                        counting.i_base(lam, mu, m),
-                        oracle.oracle_i_by_vertical_type(lam, mu, m, cap=cap),
-                    )
+            _initial_records(records, lam, cap)
     # pure big-integer identity between the n-cycle closed form and its
     # recurrence; no oracle needed, so probe beyond the enumeration cap
     for n in range(1, max(max_n, 12) + 1):
@@ -163,9 +148,7 @@ def suite_recurrences(max_n: int, cap: int | None = None) -> list[CheckRecord]:
                 rhs = (n + m) * (n + 1 - m) * factorial(n - 1) * counting.c_sep(n, k, m)
                 j = 1
                 while k + 2 * j <= n + 1:
-                    w = m * counting.binom(k + 2 * j - m, 2 * j) + counting.binom(
-                        k + 2 * j - m, 2 * j + 1
-                    )
+                    w = counting._weight_p(m, k, j)
                     rhs += w * 2 * factorial(n - 1) * counting.c_sep(n + 1, k + 2 * j, m)
                     j += 1
                 ok = ok and lhs == rhs
@@ -173,6 +156,46 @@ def suite_recurrences(max_n: int, cap: int | None = None) -> list[CheckRecord]:
                 records, suite, "ncycle-recurrence-identity", {"n": n, "m": m}, ok, True,
             )
     return records
+
+
+def _initial_records(records: list, lam: IntegerPartition, cap: int | None) -> None:
+    """The p-initial and i-initial records on lam's boundary: every
+    vertical type mu with l(lam) + l(mu) = n + 1, every m."""
+    n = lam.n
+    for mu in partitions_of(n):
+        if lam.length + mu.length != n + 1:
+            continue
+        for m in range(0, n + 1):
+            params = {"lambda": str(lam), "mu": str(mu), "m": m}
+            _record(
+                records, "recurrences", "p-initial", params,
+                counting.p_base(lam, mu, m),
+                oracle.oracle_p_by_vertical_type(lam, mu, m, cap=cap),
+            )
+            _record(
+                records, "recurrences", "i-initial", params,
+                counting.i_base(lam, mu, m),
+                oracle.oracle_i_by_vertical_type(lam, mu, m, cap=cap),
+            )
+
+
+def resolve_p_base_reading(max_n: int = 6) -> str:
+    """Check the binomial spelling of :func:`counting.p_base` ("minus",
+    the one implemented) by its p-initial records: every boundary triple
+    (lam, mu, m) with n <= max_n against the census.  Returns "minus", or
+    raises ``RuntimeError`` naming the first triple that fails.  Nothing
+    is cached, and no closed form calls this.
+    """
+    if max_n < 1:
+        raise ValueError(f"max_n must be >= 1, got {max_n}")
+    records: list[CheckRecord] = []
+    for n in range(1, max_n + 1):
+        for lam in partitions_of(n):
+            _initial_records(records, lam, None)
+    for record in records:
+        if record.check == "p-initial" and not record.ok:
+            raise RuntimeError(f"p_base spelling 'minus' fails: {record.line()}")
+    return "minus"
 
 
 def suite_identities(max_n: int, cap: int | None = None) -> list[CheckRecord]:
@@ -229,9 +252,7 @@ def suite_identities(max_n: int, cap: int | None = None) -> list[CheckRecord]:
                     rhs = 0
                     j = 1
                     while k + 2 * j <= n:
-                        w = m * counting.binom(k + 2 * j - m, 2 * j) + counting.binom(
-                            k + 2 * j - m, 2 * j + 1
-                        )
+                        w = counting._weight_p(m, k, j)
                         rhs += w * oracle.oracle_p(lam, m, k + 2 * j, cap=cap)
                         j += 1
                     _record(

@@ -99,6 +99,20 @@ def test_count_oracle_source(capsys, refuse_census):
                   "--source", "oracle"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["stirling", "--n", "4", "--k", "2"],
+    ["c-sep", "--n", "4", "--k", "2", "--m", "1"],
+    ["c-fix", "--n", "4", "--k", "2", "--m", "1"],
+])
+def test_count_source_oracle_refused_without_enumeration(capsys, argv):
+    # these quantities have no enumeration: --source oracle is refused,
+    # not answered from the formula
+    code, out, err = run_cli(capsys, "count", *argv, "--source", "oracle")
+    assert code == 2
+    assert err == f"error: --source oracle is not available for {argv[0]}\n"
+    assert out == ""
+
+
 def test_prob_commands(capsys):
     assert run_json(capsys, "prob", "separation", "--n", "4", "--m", "2")["value"] == "11/18"
     assert run_json(capsys, "prob", "isolation", "--n", "5", "--m", "2")["value"] == "1/12"

@@ -8,7 +8,7 @@ from math import comb, factorial, prod
 
 import pytest
 
-from sepcycles import counting, oracle
+from sepcycles import cli, counting, oracle
 from sepcycles.counting import (
     CountTable,
     _lambda_table,
@@ -29,7 +29,6 @@ from sepcycles.counting import (
     p_base,
     p_lambda,
     p_ncycle,
-    resolve_p_base_reading,
     sep_prob_ncycle,
     stirling_c,
 )
@@ -40,6 +39,7 @@ from sepcycles.partitions import (
     partitions_of,
 )
 from sepcycles.perm import Permutation, separates
+from sepcycles.verify import resolve_p_base_reading
 
 
 def P(*parts):
@@ -208,10 +208,9 @@ def test_base_values_forced_cases():
 
 def test_spelling_protocol(monkeypatch):
     # the protocol as the README states it: at n <= 6 there are 250
-    # boundary triples (lam, mu, m); minus matches the oracle on all of
-    # them and plus misses exactly 120.  An empty cache makes it run here.
-    monkeypatch.setattr(counting, "_READING_CACHE", {})
-    assert resolve_p_base_reading(max_n=6) == "minus"
+    # boundary triples (lam, mu, m); p_base, the minus spelling, matches
+    # the census on all of them, and the plus spelling, kept only as the
+    # reference sum below, misses exactly 120
     triples = [
         (lam, mu, m)
         for n in range(1, 7)
@@ -221,26 +220,32 @@ def test_spelling_protocol(monkeypatch):
         for m in range(0, n + 1)
     ]
     assert len(triples) == 250
-    mismatches = counting._READING_CACHE["mismatches"]
-    assert {reading: len(bad) for reading, bad in mismatches.items()} == {
-        "minus": 0, "plus": 120,
-    }
 
+    def plus(lam, mu, m):
+        mu_factor = (reference_p_base_sum(mu.parts, max(m, 1), "plus"), 1)
+        return counting._boundary_term(lam, mu, m, counting._lam_factor(lam, m, "p"), mu_factor)
 
-def test_p_base_sum_cache_keeps_readings_apart():
+    mismatches = {"minus": 0, "plus": 0}
+    for lam, mu, m in triples:
+        expected = oracle.oracle_p_by_vertical_type(lam, mu, m)
+        mismatches["minus"] += p_base(lam, mu, m) != expected
+        mismatches["plus"] += plus(lam, mu, m) != expected
+    assert mismatches == {"minus": 0, "plus": 120}
     # both diagonals share the vertical type 2+1+1 and m = 2, hence one
-    # cached tuple sum per reading; each keeps its own prefactor
+    # tuple sum; each keeps its own prefactor
     mu = P(2, 1, 1)
-    expected = {
-        (P(3, 1), "minus"): 20, (P(3, 1), "plus"): 12,
-        (P(2, 2), "minus"): 10, (P(2, 2), "plus"): 6,
-    }
-    for order in (("minus", "plus"), ("plus", "minus")):
-        _p_base_sum.cache_clear()
-        for reading in order:
-            for lam in (P(3, 1), P(2, 2)):
-                assert p_base(lam, mu, 2, reading=reading) == expected[(lam, reading)]
-    assert resolve_p_base_reading() == "minus"
+    assert [p_base(lam, mu, 2) for lam in (P(3, 1), P(2, 2))] == [20, 10]
+    assert [plus(lam, mu, 2) for lam in (P(3, 1), P(2, 2))] == [12, 6]
+    # the check on request: it passes, and fails on one changed value
+    assert resolve_p_base_reading(max_n=6) == "minus"
+    real = counting.p_base
+
+    def off_by_one(lam, mu, m):
+        return real(lam, mu, m) + ((lam, mu, m) == (P(3, 1), P(2, 1, 1), 2))
+
+    monkeypatch.setattr(counting, "p_base", off_by_one)
+    with pytest.raises(RuntimeError, match=re.escape("lambda=3+1 mu=2+1+1 m=2 formula=21")):
+        resolve_p_base_reading(max_n=6)
 
 
 def _sub_multisets(pool, size):
@@ -270,7 +275,10 @@ def _arrangements(counter):
 
 def reference_p_base_sum(mu_parts, mm, reading):
     """The tuple sum of p_base by its definition: one term per root part
-    r, size b and size-b sub-multiset of the root's pool."""
+    r, size b and size-b sub-multiset of the root's pool.  ``reading``
+    "minus" is the spelling p_base implements; "plus", the binomial
+    argument l1 - b + 1 for r > 1, is the rejected one and lives only
+    here."""
     d = len(mu_parts)
     oversized = Counter(p - 1 for p in mu_parts if p > 1)
     ell1 = sum(oversized.values())
@@ -292,24 +300,22 @@ def reference_p_base_sum(mu_parts, mm, reading):
 
 def test_p_base_sum_matches_sub_multiset_enumeration():
     # the coefficient identity against the sum it replaces, on every
-    # vertical type with n <= 12, every effective m and both spellings
+    # vertical type with n <= 12 and every effective m
     cases = 0
     for n in range(1, 13):
         for mu in partitions_of(n):
             for mm in range(1, n + 1):
-                for reading in ("minus", "plus"):
-                    expected = reference_p_base_sum(mu.parts, mm, reading)
-                    assert _p_base_sum.__wrapped__(mu.parts, mm, reading) == expected, (
-                        mu, mm, reading)
-                    cases += 1
-    assert cases == 2 * sum(n * len(partitions_of(n)) for n in range(1, 13))
+                expected = reference_p_base_sum(mu.parts, mm, "minus")
+                assert _p_base_sum.__wrapped__(mu.parts, mm) == expected, (mu, mm)
+                cases += 1
+    assert cases == sum(n * len(partitions_of(n)) for n in range(1, 13))
 
 
 def test_p_base_sum_division_is_checked(monkeypatch):
     # mu = 3+3+3, mm = 2: the root 3 leaves the pool {2, 2}, so the b = 1
     # term is 1! 1! [x^1] (1 + 3x)^2 / 2! = 6 / 2.  One more in that
     # coefficient makes the division inexact; it must raise, not round.
-    assert _p_base_sum.__wrapped__((3, 3, 3), 2, "minus") == reference_p_base_sum(
+    assert _p_base_sum.__wrapped__((3, 3, 3), 2) == reference_p_base_sum(
         (3, 3, 3), 2, "minus")
     real = counting._pool_polynomial
 
@@ -318,7 +324,7 @@ def test_p_base_sum_division_is_checked(monkeypatch):
 
     monkeypatch.setattr(counting, "_pool_polynomial", skewed)
     with pytest.raises(ArithmeticError, match=re.escape("7 / 2 leaves 1")):
-        _p_base_sum.__wrapped__((3, 3, 3), 2, "minus")
+        _p_base_sum.__wrapped__((3, 3, 3), 2)
 
 
 def test_lambda_pipeline_matches_ncycle_closed_form():
@@ -408,6 +414,18 @@ def test_default_base_never_enumerates(refuse_census):
         build_count_table(7, m, source="oracle")
 
 
+def test_closed_form_path_never_enumerates(refuse_census, capsys):
+    # with every census refused and every boundary cache empty, p_base, a
+    # default table and a CLI p-lambda query answer without enumerating
+    refuse_census(from_n=1)
+    assert p_base(P(3, 1), P(2, 1, 1), 2) == 20
+    table = build_count_table(7, 2, kind="p")
+    assert [table.get(P(7), k) for k in range(1, 8)] == [p_ncycle(7, 2, k) for k in range(1, 8)]
+    assert cli.main(["count", "p-lambda", "--lambda", "3+2+1", "--m", "2", "--k", "all"]) == 0
+    records = json.loads(capsys.readouterr().out)
+    assert {r["source"] for r in records} == {"recurrence"}
+
+
 def test_lambda_pipeline_beyond_oracle_range():
     # n = 8 with closed-form base values: no enumeration involved, yet
     # the table must still account for every pair (s, pi) exactly once
@@ -475,8 +493,8 @@ def test_boundary_exactness_checked_per_pair(monkeypatch, kind):
     shifted = {P(4, 1, 1, 1): 1, P(3, 2, 1, 1): -1}
     real = counting._mu_factor
 
-    def skewed(mu, m, kind, reading):
-        num, den = real(mu, m, kind, reading)
+    def skewed(mu, m, kind):
+        num, den = real(mu, m, kind)
         return (num * q + shifted[mu] * den, den * q) if mu in shifted else (num, den)
 
     for name in ("_lambda_table", "_boundary_row"):

@@ -223,14 +223,6 @@ def test_reflect_is_involution():
         assert pp.reflect().reflect() == pp
 
 
-def test_mirror_ntae_identity_exhaustive_small():
-    for n in range(1, 6):
-        for pp in all_plane_permutations(n):
-            lhs = pp.ntae_count() + pp.reflect().ntae_count()
-            rhs = n + 1 - pp.pi.cycle_count() - pp.diagonal().cycle_count()
-            assert lhs == rhs
-
-
 def test_mirror_ntae_identity_sampled_n6():
     # (n, seed, samples): n = 6, and 100 000 pairs at n = 8, past the
     # exhaustive range
