@@ -23,6 +23,7 @@ enumeration) go through the unchecked ``Permutation._trusted``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations as _all_arrangements
 from typing import Iterable, Iterator, Sequence
 
@@ -158,7 +159,11 @@ class Permutation:
         return compose(self, other)
 
     def inverse(self) -> "Permutation":
-        return Permutation._trusted(inverse0((0, *self.images))[1:])
+        inv = Permutation._trusted(inverse0((0, *self.images))[1:])
+        if "_cycle_count" in self.__dict__:
+            # the inverse runs through the same cycles backwards
+            inv.__dict__["_cycle_count"] = self._cycle_count
+        return inv
 
     def is_identity(self) -> bool:
         return all(v == i + 1 for i, v in enumerate(self.images))
@@ -169,8 +174,16 @@ class Permutation:
         """
         return cycles0((0, *self.images))[1:]
 
-    def cycle_count(self) -> int:
+    @cached_property
+    def _cycle_count(self) -> int:
         return len(cycles0((0, *self.images))) - 1
+
+    def cycle_count(self) -> int:
+        """Number of cycles, fixed points included.  Walked once per
+        instance and kept on it; it is a function of ``images``, so
+        equality, hashing and ``repr`` ignore it.
+        """
+        return self._cycle_count
 
     def cycle_type(self) -> IntegerPartition:
         return IntegerPartition(tuple(len(c) for c in self.cycles()))

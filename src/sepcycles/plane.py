@@ -11,6 +11,13 @@ y in s.  An element x is an exceedance when x strictly precedes pi(x),
 an anti-exceedance otherwise (fixed points included).  Each pi-cycle
 contributes one trivial anti-exceedance, the pi-preimage of its earliest
 member; the remaining anti-exceedances are the non-trivial ones (NTAEs).
+So the NTAE count is the anti-exceedance count minus C(pi), the number
+of pi-cycles: one pass over the positions and no walk of its own.
+
+The diagonal is built in one pass from the sequence and the vertical,
+by its definition above.  Each permutation keeps its cycle count after
+the first walk, and the mirror's vertical D^-1 takes the count of D
+over, so a mirror check walks pi once and D once.
 
 Validation runs on user input only: the public constructor checks the
 sequence and the vertical, while the moves (``reflect``, ``hat``,
@@ -21,9 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import ge
 
 from .partitions import int_tuple
-from .perm import Permutation, compose, cycles0, from_cycles0, inverse0
+from .perm import Permutation, from_cycles0, inverse0
 
 
 @dataclass(frozen=True)
@@ -72,11 +80,22 @@ class PlanePermutation:
 
     def precedes(self, a: int, b: int) -> bool:
         """Sequence order: a appears strictly before b."""
+        n = self.n
+        for x in (a, b):
+            if not 1 <= x <= n:
+                raise ValueError(f"{x} is outside the ground set [{n}]")
         return self._pos[a] < self._pos[b]
 
     @cached_property
     def _diagonal(self) -> Permutation:
-        return compose(self.s, self.pi.inverse())
+        # the entry under s_{i-1} goes to s_i, cyclically
+        seq, under = self.seq, self.pi.images
+        images = [0] * len(seq)
+        prev = seq[-1]
+        for x in seq:
+            images[under[prev - 1] - 1] = x
+            prev = x
+        return Permutation._trusted(tuple(images))
 
     def diagonal(self) -> Permutation:
         """D = s * pi^-1, computed once per pair."""
@@ -99,19 +118,12 @@ class PlanePermutation:
         return len(self.classify_elements()[0])
 
     def ntae_count(self) -> int:
-        """Anti-exceedances x, pos[x] >= pos[pi(x)], that are not the
-        pi-preimage of the earliest member of their cycle.
+        """Anti-exceedances x, pos[x] >= pos[pi(x)], less the one
+        trivial anti-exceedance of each pi-cycle.
         """
         pos = self._pos
-        count = 0
-        for cycle in cycles0((0, *self.pi.images))[1:]:
-            earliest = min(cycle, key=pos.__getitem__)
-            x = cycle[-1]
-            for y in cycle:  # y = pi(x)
-                if pos[x] >= pos[y] and y != earliest:
-                    count += 1
-                x = y
-        return count
+        anti = sum(map(ge, pos[1:], map(pos.__getitem__, self.pi.images)))
+        return anti - self.pi.cycle_count()
 
     def transpose_blocks(self, h: tuple[int, int, int]) -> "PlanePermutation":
         """Swap the adjacent diagonal blocks spanned by seq[i..j] and
@@ -142,7 +154,9 @@ class PlanePermutation:
         to n + 1 - C(pi) - C(D).
         """
         rev = (self.seq[0],) + self.seq[:0:-1]
-        return PlanePermutation._trusted(rev, self.diagonal().inverse())
+        d = self.diagonal()
+        d.cycle_count()  # one walk of D; its inverse takes the count over
+        return PlanePermutation._trusted(rev, d.inverse())
 
     def hat(self) -> "PlanePermutation":
         """Double cover on [2n] whose diagonal is a fixed-point-free

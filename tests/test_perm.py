@@ -175,6 +175,16 @@ def test_cycle_type():
         assert t.length == q.cycle_count()
 
 
+def test_stored_cycle_count_leaves_value_semantics_alone():
+    p = from_cycles((1, 5, 6), (3, 4, 2), n=7)
+    fresh = Permutation(p.images)
+    assert p.cycle_count() == 3
+    assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
+    # the inverse takes the stored count over instead of walking
+    inv = p.inverse()
+    assert inv.cycle_count() == len(inv.cycles()) == 3
+
+
 def test_parity_matches_transposition_count():
     assert Permutation.identity(5).parity() == 0
     assert from_cycles((1, 2), n=5).parity() == 1

@@ -4,6 +4,8 @@ from itertools import permutations
 
 import pytest
 
+from sepcycles import perm as perm_module
+from sepcycles import plane as plane_module
 from sepcycles.oracle import _census_stratified
 from sepcycles.partitions import IntegerPartition
 from sepcycles.perm import Permutation, compose, enumerate_n_cycles, separates
@@ -100,6 +102,64 @@ def test_diagonal_formula_and_pairing():
         for i in range(n):
             below_prev = pp.pi(pp.seq[(i - 1) % n])
             assert d(below_prev) == pp.seq[i]
+
+
+def sampled_plane_permutations():
+    yield from (pp for n in range(1, 6) for pp in all_plane_permutations(n))
+    for n, seed, samples in ((8, 8, 2000), (16, 16, 500)):
+        rng = random.Random(seed)
+        for _ in range(samples):
+            yield random_plane_permutation(n, rng)
+
+
+def test_one_pass_diagonal_matches_compose():
+    # compose(s, pi^-1) is the reference for the one-pass diagonal
+    for pp in sampled_plane_permutations():
+        assert pp.diagonal() == compose(pp.s, pp.pi.inverse())
+
+
+def test_stored_cycle_counts_match_walked_cycles():
+    for pp in sampled_plane_permutations():
+        pp.ntae_count()
+        mirror = pp.reflect()
+        for p in (pp.pi, pp.diagonal(), mirror.pi):
+            assert p.cycle_count() == len(p.cycles())
+
+
+def test_mirror_check_walks_pi_and_diagonal_once(monkeypatch):
+    walks = []
+    real = perm_module.cycles0
+
+    def counted(images):
+        walks.append(tuple(images))
+        return real(images)
+
+    monkeypatch.setattr(perm_module, "cycles0", counted)
+    monkeypatch.setattr(plane_module, "cycles0", counted, raising=False)
+    pp = PlanePermutation((1, 3, 6, 2, 5, 4), Permutation((3, 1, 4, 6, 2, 5)))
+    pp.ntae_count()
+    pp.reflect().ntae_count()
+    pp.pi.cycle_count()
+    pp.diagonal().cycle_count()
+    assert walks == [(0, *pp.pi.images), (0, *pp.diagonal().images)]
+
+
+def test_ntae_count_matches_classification_sampled_n8():
+    # the walked definition, independent of the anti-exceedances minus
+    # cycles count, past the exhaustive range
+    rng = random.Random(88)
+    for _ in range(2000):
+        pp = random_plane_permutation(8, rng)
+        for q in (pp, pp.reflect()):
+            assert q.ntae_count() == len(q.classify_elements()[2])
+
+
+def test_precedes_rejects_points_outside_ground_set():
+    pp = PlanePermutation((1, 3, 2), Permutation.identity(3))
+    assert pp.precedes(3, 2) and not pp.precedes(2, 3) and not pp.precedes(1, 1)
+    for a, b in ((0, 2), (-1, 2), (4, 1), (2, 4)):
+        with pytest.raises(ValueError, match=r"outside the ground set \[3\]"):
+            pp.precedes(a, b)
 
 
 def test_worked_example_classification():
