@@ -10,10 +10,13 @@ One unsliced, cached pass per n visits every one of the (n-1)! * n!
 pairs; there is no conjugacy-class or other symmetry shortcut, so the
 census stays an independent check.  Permutations are ``bytes`` images,
 each walked once: a table built once per n keys it by (cycle type,
-valid-cut mask, largest separated prefix, largest fixed prefix).  A
-vertical is read off the table by its type and prefixes; the diagonal
-with each horizontal is one ``bytes.translate`` of pi^-1 through that
-horizontal, read off the table by its type and mask.
+valid-cut mask, largest separated prefix, largest fixed prefix).  The
+pass walks pi^-1 through S_n by adjacent swaps (Steinhaus-Johnson-Trotter
+order) and holds the ranks of its (n-1)! diagonals, one per horizontal;
+a swap moves every diagonal to a known rank, so each step reads the next
+ranks and the diagonals' keys out of tables built once per pass, and
+counts every key.  A vertical is read off the keyed table by its type
+and prefixes, a diagonal by its type and mask.
 Cycle walks, inverses and the n-cycle enumeration come from the 0-based
 kernel in :mod:`sepcycles.perm`; the oracle imports nothing else from
 the package but :mod:`sepcycles.partitions`, and never the counting it
@@ -24,16 +27,19 @@ slice of the same pass.  Queries read the cached census through an
 index by diagonal type.
 
 The enumeration is exact or it refuses: queries above the configured cap
-(default 7, hard maximum 9 -- the n = 9 census is a multi-hour run) raise
+(default 7, hard maximum 9 -- the n = 9 census has 72 times the pairs of
+the n = 8 one) raise
 :class:`OracleCapError`.  There is no sampling fallback.
 """
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from functools import lru_cache
+from itertools import chain, cycle, repeat
 from itertools import permutations as _all_arrangements
 from math import factorial
-from operator import lt
+from operator import add, itemgetter, lt
+from struct import pack
 
 from .partitions import Composition, IntegerPartition
 from .perm import (
@@ -114,6 +120,61 @@ def _translate_table(images) -> bytes:
     return table + bytes(256 - len(table))
 
 
+def _adjacent_swaps(n: int) -> bytes:
+    """Steinhaus-Johnson-Trotter order: the n! - 1 positions i at which
+    swapping places i and i+1, step after step, takes the identity
+    arrangement of range(n) through every arrangement exactly once.
+
+    The largest point sweeps from the last place to the first and back,
+    one arrangement per step; between sweeps the other points take one
+    step of the order for n - 1, shifted past the largest point when it
+    stands first.
+    """
+    swaps = b""
+    for m in range(2, n + 1):
+        leftward, rightward = bytes(range(m - 2, -1, -1)), bytes(range(m - 1))
+        order = bytearray(leftward)
+        for k, i in enumerate(swaps):
+            if k % 2:
+                order.append(i)
+                order += leftward
+            else:
+                order.append(i + 1)
+                order += rightward
+        swaps = bytes(order)
+    return swaps
+
+
+def _index_table(entries, size: int) -> memoryview:
+    """Entries in 0..size-1, packed two bytes each (four past 65536) so
+    that the table holds no int objects, read back as ints."""
+    code = "H" if size <= 1 << 16 else "I"
+    entries = tuple(entries)
+    return memoryview(pack(f"{len(entries)}{code}", *entries)).cast(code)
+
+
+def _swap_ranks(n: int, i: int) -> memoryview:
+    """Entry r: the rank, in the lexicographic order of ``_perm_keys``,
+    of arrangement r with places i and i+1 swapped.
+
+    Rank r has Lehmer digits c_j (the number of later entries smaller
+    than entry j) of weight (n-1-j)!.  The swap changes only digits (a, b) = (c_i, c_{i+1}): to
+    (b + 1, a) where a <= b (an ascent), to (b, a - 1) otherwise.  The
+    change of rank therefore repeats with period (n-i)!, constant on runs
+    of (n-2-i)! ranks.
+    """
+    low = factorial(n - 2 - i)
+    high = (n - 1 - i) * low
+    steps = []
+    for a in range(n - i):
+        for b in range(n - 1 - i):
+            new_a, new_b = (b + 1, a) if a <= b else (b, a - 1)
+            steps.append((new_a - a) * high + (new_b - b) * low)
+    size = factorial(n)
+    period = chain.from_iterable(repeat(step, low) for step in steps)
+    return _index_table(map(add, range(size), cycle(period)), size)
+
+
 CensusKey = tuple[tuple[int, ...], tuple[int, ...], int, int]
 
 
@@ -127,18 +188,34 @@ def _pair_pass(n: int) -> tuple[dict[CensusKey, int], dict[int, int]]:
     mask of the diagonal, over the n-cycle verticals only -- as pi runs
     over the n-cycles so does pi^-1, so s * pi^-1 runs over all products
     of two n-cycles.
+
+    The walk runs q = pi^-1 through S_n by adjacent swaps
+    (:func:`_adjacent_swaps`) and holds the ranks of the (n-1)! diagonals
+    s * q, one per horizontal.  Swapping places i, i+1 of q sends every
+    diagonal d to d * (i i+1), so the next ranks and their keys are two
+    gathers, through one ``itemgetter`` of the current ranks, from tables
+    built once per pass.  Every diagonal key is counted; q and pi share
+    their key, which depends on the cycles as point sets only.
     """
     key_of, decode = _perm_keys(n)
-    get_key = key_of.__getitem__
-    tables = [_translate_table(s) for s in n_cycles0(n)]
-    by_vertical: defaultdict[tuple[tuple[int, ...], int, int], Counter[int]] = defaultdict(Counter)
-    for p, key in key_of.items():
-        mu, _, smax, imax = decode[key]
-        # diagonal s * pi^-1 for every horizontal s: pi^-1 read through s
-        by_vertical[mu, smax, imax].update(
-            map(get_key, map(bytes(inverse0(p)).translate, tables))
-        )
+    keys = _index_table(key_of.values(), len(decode))  # by rank
+    ranks_at = [_swap_ranks(n, i) for i in range(n - 1)]
+    keys_at = [_index_table(map(keys.__getitem__, swapped), len(decode)) for swapped in ranks_at]
+    vertical_of = [(mu, smax, imax) for mu, _, smax, imax in decode]
     ncycle = (n,)
+    # q = identity (rank 0): the diagonals are the horizontals themselves
+    rho = tuple(r for r, key in enumerate(keys) if decode[key][0] == ncycle)
+    # itemgetter with one index returns the item, not a 1-tuple (n <= 2)
+    gather = itemgetter if len(rho) > 1 else (lambda r: lambda table: (table[r],))
+    step = gather(*rho)
+    by_vertical: defaultdict[tuple[tuple[int, ...], int, int], Counter[int]] = defaultdict(Counter)
+    q = 0
+    by_vertical[vertical_of[keys[q]]].update(step(keys))
+    for i in _adjacent_swaps(n):
+        q = ranks_at[i][q]
+        by_vertical[vertical_of[keys[q]]].update(step(keys_at[i]))
+        step = gather(*step(ranks_at[i]))
+    del keys, ranks_at, keys_at, step
     census: dict[CensusKey, int] = {}
     alpha: dict[int, int] = {}
     for (mu, smax, imax), counts in by_vertical.items():

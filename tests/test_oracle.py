@@ -1,4 +1,5 @@
 import ast
+import hashlib
 from collections import Counter
 from functools import lru_cache
 from itertools import permutations
@@ -13,10 +14,12 @@ from sepcycles.oracle import (
     DEFAULT_CAP,
     HARD_CAP,
     OracleCapError,
+    _adjacent_swaps,
     _alpha_census,
     _census,
     _census_stratified,
     _pair_pass,
+    _swap_ranks,
     oracle_alpha,
     oracle_fixed_point_distribution,
     oracle_i,
@@ -96,6 +99,45 @@ def test_each_permutation_walked_once(monkeypatch):
     oracle_module._census(6)
     oracle_module._census_stratified(6)
     assert len(walks) == factorial(6) + factorial(5) == 840
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_adjacent_swaps_visit_every_arrangement_once(n):
+    swaps = _adjacent_swaps(n)
+    assert len(swaps) == factorial(n) - 1
+    arrangement = list(range(n))
+    seen = {tuple(arrangement)}
+    for i in swaps:
+        assert 0 <= i < n - 1  # places i and i+1: adjacent, both in range
+        arrangement[i], arrangement[i + 1] = arrangement[i + 1], arrangement[i]
+        seen.add(tuple(arrangement))
+    assert len(seen) == factorial(n)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_swap_ranks_follow_the_swapped_arrangement(n):
+    arrangements = list(permutations(range(n)))  # the order of _perm_keys
+    rank = {p: r for r, p in enumerate(arrangements)}
+    for i in range(n - 1):
+        table = _swap_ranks(n, i)
+        assert len(table) == factorial(n)
+        for r, p in enumerate(arrangements):
+            swapped = (*p[:i], p[i + 1], p[i], *p[i + 2:])
+            assert table[r] == rank[swapped]
+
+
+def test_census_n7_pinned():
+    # n = 7 is past the reference enumeration: digests of the census and
+    # alpha census as enumerated pair by pair per horizontal, before the
+    # adjacent-swap walk
+    def digest(census):
+        return hashlib.sha256(repr(sorted(census.items())).encode()).hexdigest()
+
+    assert len(_census(7)) == 555
+    assert digest(_census(7)) == "9e9280a77675f60c94ba98ed44a562935da73e6385c36f5f28fcffb73a411c06"
+    assert len(_alpha_census(7)) == 54
+    assert digest(_alpha_census(7)) == "b3e4701744de4bed5cda4d9adfbbe5dd964d96a27a8ded0868d38c8c22495079"
+    assert sum(_census(7).values()) == pair_count(7)
 
 
 # Reference enumerations: one tuple per pair, cycle types and cut masks
