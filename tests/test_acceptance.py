@@ -14,6 +14,7 @@ from collections import Counter
 import pytest
 
 from sepcycles import oracle, verify
+from sepcycles.plane import PlanePermutation
 
 # suite -> the max n it is accepted at
 RANGES = {"closed-forms": 7, "recurrences": 6, "identities": 6}
@@ -94,8 +95,6 @@ def test_mirror_record_holds_ntae_count_to_its_definition(monkeypatch):
     # anti-exceedances less C(D) instead of C(pi): wrong wherever the two
     # cycle counts differ, yet the mirror sum is unchanged, because the
     # mirror's diagonal has as many cycles as pi
-    from sepcycles.plane import PlanePermutation
-
     real = PlanePermutation.ntae_count
 
     def shifted(pp):
