@@ -13,41 +13,43 @@ each walked once: a table built once per n keys it by (cycle type,
 valid-cut mask, largest separated prefix, largest fixed prefix).  The
 pass walks pi^-1 through S_n by adjacent swaps (Steinhaus-Johnson-Trotter
 order) and holds the ranks of its (n-1)! diagonals, one per horizontal;
-a swap moves every diagonal to a known rank, so each step reads the next
-ranks and the diagonals' keys out of tables built once per pass, and
-counts every key.  A vertical is read off the keyed table by its type
-and prefixes, a diagonal by its type and mask.
-Cycle walks, inverses and the n-cycle enumeration come from the 0-based
-kernel in :mod:`sepcycles.perm`; the oracle imports nothing else from
-the package but :mod:`sepcycles.partitions`, and never the counting it
-checks.
-The verticals that are n-cycles give exactly the products of two
-n-cycles, so the alpha (block-separation) census is a view of their
-slice of the same pass.  Queries read the cached census through an
-index by diagonal type.
+a swap moves every diagonal to a known rank, so each step gathers the
+next ranks from a table built once per pass.  Each pair then adds one
+byte, its diagonal's cycle-type id, to a buffer for the vertical's
+class (cycle type and prefixes, read off the keyed table); a full buffer
+is counted value by value and emptied, so every pair is counted and the
+memory stays flat.  The verticals that are n-cycles give exactly the
+products of two n-cycles, so the alpha (block-separation) census is
+counted on their slice of the same pass, one byte per pair for the
+diagonal's cut mask.  The exceedance-stratified census takes the same
+walk with one byte per pair for (diagonal type, exceedances), keeping
+every horizontal's exceedance count up to date as the vertical moves.
+Queries read the cached censuses through indexes.
+Cycle walks and inverses come from the 0-based kernel in
+:mod:`sepcycles.perm`; the oracle imports nothing else from the package
+but :mod:`sepcycles.partitions`, and never the counting it checks.
 
 The enumeration is exact or it refuses: queries above the configured cap
 (default 7, hard maximum 9 -- the n = 9 census has 72 times the pairs of
-the n = 8 one) raise
-:class:`OracleCapError`.  There is no sampling fallback.
+the n = 8 one) raise :class:`OracleCapError`, and a census whose codes
+do not fit one byte (the stratified one at n = 9) raises
+:class:`ValueError` before building anything.  There is no sampling
+fallback.
 """
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from functools import lru_cache
 from itertools import chain, cycle, repeat
 from itertools import permutations as _all_arrangements
 from math import factorial
-from operator import add, itemgetter, lt
-from struct import pack
+from operator import add, itemgetter, sub
 
-from .partitions import Composition, IntegerPartition
+from .partitions import Composition, IntegerPartition, partitions_of
 from .perm import (
     cycle_type0,
     cycles0,
     fixed_prefix,
     inverse0,
-    n_cycles0,
     separated_prefix,
     valid_cut_mask,
 )
@@ -114,12 +116,6 @@ def _perm_keys(n: int) -> tuple[dict[bytes, int], tuple[PermStats, ...]]:
     return key_of, tuple(index)
 
 
-def _translate_table(images) -> bytes:
-    """A permutation's image padded to the 256 bytes ``translate`` needs."""
-    table = bytes(images)
-    return table + bytes(256 - len(table))
-
-
 def _adjacent_swaps(n: int) -> bytes:
     """Steinhaus-Johnson-Trotter order: the n! - 1 positions i at which
     swapping places i and i+1, step after step, takes the identity
@@ -145,17 +141,11 @@ def _adjacent_swaps(n: int) -> bytes:
     return swaps
 
 
-def _index_table(entries, size: int) -> memoryview:
-    """Entries in 0..size-1, packed two bytes each (four past 65536) so
-    that the table holds no int objects, read back as ints."""
-    code = "H" if size <= 1 << 16 else "I"
-    entries = tuple(entries)
-    return memoryview(pack(f"{len(entries)}{code}", *entries)).cast(code)
-
-
-def _swap_ranks(n: int, i: int) -> memoryview:
+def _swap_ranks(n: int, i: int, ranks: tuple[int, ...]) -> tuple[int, ...]:
     """Entry r: the rank, in the lexicographic order of ``_perm_keys``,
-    of arrangement r with places i and i+1 swapped.
+    of arrangement r with places i and i+1 swapped, as the entry of
+    ``ranks`` (``tuple(range(n!))``) at that rank, so that every table
+    built from one ``ranks`` shares its int objects.
 
     Rank r has Lehmer digits c_j (the number of later entries smaller
     than entry j) of weight (n-1-j)!.  The swap changes only digits (a, b) = (c_i, c_{i+1}): to
@@ -170,9 +160,72 @@ def _swap_ranks(n: int, i: int) -> memoryview:
         for b in range(n - 1 - i):
             new_a, new_b = (b + 1, a) if a <= b else (b, a - 1)
             steps.append((new_a - a) * high + (new_b - b) * low)
-    size = factorial(n)
     period = chain.from_iterable(repeat(step, low) for step in steps)
-    return _index_table(map(add, range(size), cycle(period)), size)
+    return tuple(map(ranks.__getitem__, map(add, range(len(ranks)), cycle(period))))
+
+
+def _diagonal_walk(n: int, horizontals: tuple[int, ...]):
+    """Walk q = pi^-1 through S_n by adjacent swaps (:func:`_adjacent_swaps`).
+
+    Yields, per q: the place i whose swap with i+1 reached it (None for
+    the identity, where the walk starts), the rank of q, and an
+    ``itemgetter`` of the ranks of the diagonals s * q, one per
+    horizontal s, in the order of ``horizontals`` (their ranks).
+    Swapping places i, i+1 of q sends every diagonal d to d * (i i+1), so
+    the next ranks are one gather, through the current getter, of a swap
+    table built once per walk.
+    """
+    ranks = tuple(range(factorial(n)))
+    ranks_at = [_swap_ranks(n, i, ranks) for i in range(n - 1)]
+    # itemgetter with one index returns the item, not a 1-tuple (n <= 2)
+    gather = itemgetter if len(horizontals) > 1 else (lambda r: lambda table: (table[r],))
+    q, diagonals = 0, gather(*horizontals)
+    yield None, q, diagonals
+    for i in _adjacent_swaps(n):
+        q = ranks_at[i][q]
+        diagonals = gather(*diagonals(ranks_at[i]))
+        yield i, q, diagonals
+
+
+# Census codes are single bytes, one per pair, appended to a buffer per
+# vertical class; a buffer is counted value by value and emptied once it
+# holds this many, so the memory of a pass stays flat however many pairs
+# it counts.
+_FLUSH = 8192
+
+
+def _check_byte_codes(n: int, codes: int, what: str) -> None:
+    """Refuse, before any table is built, a census whose codes do not
+    fit one byte."""
+    if codes > 256:
+        raise ValueError(f"{what} at n={n} need {codes} byte codes, above the limit of 256")
+
+
+def _tally(buf: bytearray, counts: list[int]) -> None:
+    """Add the number of bytes of value v in ``buf`` to ``counts[v]``, for
+    every v below ``len(counts)``, and empty ``buf``."""
+    for v in range(len(counts)):
+        counts[v] += buf.count(v)
+    buf.clear()
+
+
+def _ranked(n: int, lams: tuple[tuple[int, ...], ...]) -> tuple[list[PermStats], bytes, tuple[int, ...]]:
+    """By rank, in the order of ``_perm_keys``: the statistics of each
+    arrangement, and the id of its cycle type (its index in ``lams``) as
+    one byte; then the ranks of the n-cycles, the horizontals."""
+    key_of, decode = _perm_keys(n)
+    by_rank = [decode[key] for key in key_of.values()]
+    type_id = {lam: t for t, lam in enumerate(lams)}
+    types = bytes(type_id[lam] for lam, _, _, _ in by_rank)
+    ncycle = lams.index((n,))
+    return by_rank, types, tuple(r for r, t in enumerate(types) if t == ncycle)
+
+
+def _slots(classes, size: int):
+    """One (buffer, counts) slot per distinct class, and per rank the slot
+    of its class."""
+    slots: dict = {}
+    return slots, [slots.setdefault(c, (bytearray(), [0] * size)) for c in classes]
 
 
 CensusKey = tuple[tuple[int, ...], tuple[int, ...], int, int]
@@ -189,43 +242,37 @@ def _pair_pass(n: int) -> tuple[dict[CensusKey, int], dict[int, int]]:
     over the n-cycles so does pi^-1, so s * pi^-1 runs over all products
     of two n-cycles.
 
-    The walk runs q = pi^-1 through S_n by adjacent swaps
-    (:func:`_adjacent_swaps`) and holds the ranks of the (n-1)! diagonals
-    s * q, one per horizontal.  Swapping places i, i+1 of q sends every
-    diagonal d to d * (i i+1), so the next ranks and their keys are two
-    gathers, through one ``itemgetter`` of the current ranks, from tables
-    built once per pass.  Every diagonal key is counted; q and pi share
-    their key, which depends on the cycles as point sets only.
+    The pass follows :func:`_diagonal_walk`.  Per vertical it gathers
+    the (n-1)! diagonals' type ids from a byte table by rank and appends
+    them to the buffer of the vertical's class (cycle type, prefixes);
+    for an n-cycle vertical it gathers their cut masks (below 2^(n-1))
+    into the alpha buffer too.  Every pair's code is counted; q and pi
+    share their class, which depends on the cycles as point sets only.
     """
-    key_of, decode = _perm_keys(n)
-    keys = _index_table(key_of.values(), len(decode))  # by rank
-    ranks_at = [_swap_ranks(n, i) for i in range(n - 1)]
-    keys_at = [_index_table(map(keys.__getitem__, swapped), len(decode)) for swapped in ranks_at]
-    vertical_of = [(mu, smax, imax) for mu, _, smax, imax in decode]
-    ncycle = (n,)
-    # q = identity (rank 0): the diagonals are the horizontals themselves
-    rho = tuple(r for r, key in enumerate(keys) if decode[key][0] == ncycle)
-    # itemgetter with one index returns the item, not a 1-tuple (n <= 2)
-    gather = itemgetter if len(rho) > 1 else (lambda r: lambda table: (table[r],))
-    step = gather(*rho)
-    by_vertical: defaultdict[tuple[tuple[int, ...], int, int], Counter[int]] = defaultdict(Counter)
-    q = 0
-    by_vertical[vertical_of[keys[q]]].update(step(keys))
-    for i in _adjacent_swaps(n):
-        q = ranks_at[i][q]
-        by_vertical[vertical_of[keys[q]]].update(step(keys_at[i]))
-        step = gather(*step(ranks_at[i]))
-    del keys, ranks_at, keys_at, step
+    lams = tuple(lam.parts for lam in partitions_of(n))
+    _check_byte_codes(n, max(len(lams), 1 << (n - 1)), "census codes")
+    by_rank, types, horizontals = _ranked(n, lams)
+    masks = bytes(mask for _, mask, _, _ in by_rank)
+    slots, slot_of = _slots(((mu, smax, imax) for mu, _, smax, imax in by_rank), len(lams))
+    ncycle = lams.index((n,))
+    alpha_buf, alpha_counts = bytearray(), [0] * (1 << (n - 1))
+    for _, q, diagonals in _diagonal_walk(n, horizontals):
+        buf, counts = slot_of[q]
+        buf += bytes(diagonals(types))
+        if len(buf) >= _FLUSH:
+            _tally(buf, counts)
+        if types[q] == ncycle:
+            alpha_buf += bytes(diagonals(masks))
+            if len(alpha_buf) >= _FLUSH:
+                _tally(alpha_buf, alpha_counts)
+    _tally(alpha_buf, alpha_counts)
     census: dict[CensusKey, int] = {}
-    alpha: dict[int, int] = {}
-    for (mu, smax, imax), counts in by_vertical.items():
-        for key, cnt in counts.items():
-            lam, mask, _, _ = decode[key]
-            ckey = (lam, mu, smax, imax)
-            census[ckey] = census.get(ckey, 0) + cnt
-            if mu == ncycle:
-                alpha[mask] = alpha.get(mask, 0) + cnt
-    return census, alpha
+    for (mu, smax, imax), (buf, counts) in slots.items():
+        _tally(buf, counts)
+        for t, cnt in enumerate(counts):
+            if cnt:
+                census[(lams[t], mu, smax, imax)] = cnt
+    return census, {mask: cnt for mask, cnt in enumerate(alpha_counts) if cnt}
 
 
 # _census keeps a cache of its own so that it still reports its own cache
@@ -245,36 +292,67 @@ def _alpha_census(n: int) -> dict[int, int]:
     return _pair_pass(n)[1]
 
 
+StratifiedKey = tuple[tuple[int, ...], int, int, int]
+
+
 @lru_cache(maxsize=None)
-def _census_stratified(n: int) -> dict[tuple[tuple[int, ...], int, int, int], int]:
+def _census_stratified(n: int) -> dict[StratifiedKey, int]:
     """Census keyed by (diagonal type, vertical cycle count, largest
     separated prefix, exceedance count of the pair).
 
     Exceedances depend on the actual sequence order of the horizontal,
-    so every pair carries its own statistic; intended for n <= 6.
+    so every pair carries its own statistic, kept on the walk of
+    :func:`_diagonal_walk`: with pos the places in a horizontal's
+    sequence, pi has the exceedances x with pos[x] < pos[pi(x)], and
+    swapping places i, i+1 of q = pi^-1 moves pi(q[i]) from i to i+1 and
+    pi(q[i+1]) from i+1 to i.  So each step adds to every horizontal's
+    count a change read off that horizontal's places of q[i], q[i+1], i
+    and i+1, from byte tables built once per pass.  A pair's code is its
+    diagonal's type id + width * exceedances (width: the number of cycle
+    types), counted in the buffer of the vertical's (cycle count,
+    prefix); the codes must fit one byte, which n = 9 exceeds.
     """
-    key_of, decode = _perm_keys(n)
-    get_key = key_of.__getitem__
-    verticals = []
-    for p, key in key_of.items():
-        mu, _, smax, _ = decode[key]
-        verticals.append((bytes(inverse0(p)), p, len(mu), smax))
-    counts: Counter[tuple[int, int, int, int]] = Counter()
-    for nxt in n_cycles0(n):
-        pos = inverse0(cycles0(nxt)[0])  # place of each point in the sequence
-        nxt_t = _translate_table(nxt)
-        pos_b = bytes(pos)
-        pos_t = _translate_table(pos)
-        # diagonal = nxt after pi^-1; exceedances: pos[x] < pos[pi(x)]
-        counts.update(
-            (get_key(pinv.translate(nxt_t)), k, smax, sum(map(lt, pos_b, p.translate(pos_t))))
-            for pinv, p, k, smax in verticals
-        )
-    census: dict[tuple[tuple[int, ...], int, int, int], int] = {}
-    for (key, k, smax, a), cnt in counts.items():
-        ckey = (decode[key][0], k, smax, a)
-        census[ckey] = census.get(ckey, 0) + cnt
+    lams = tuple(lam.parts for lam in partitions_of(n))
+    width = len(lams)
+    # at most n - 1 exceedances, so every code is below width * n
+    _check_byte_codes(n, width * n, "stratified census codes")
+    by_rank, types, horizontals = _ranked(n, lams)
+    slots, slot_of = _slots(((len(mu), smax) for mu, _, smax, _ in by_rank), width * n)
+    images = tuple(_perm_keys(n)[0])
+    places = [inverse0(cycles0(images[r])[0]) for r in horizontals]  # pos, per horizontal
+    # rise[i][x], one byte per horizontal: width * (1 + the change of
+    # [pos[x] < pos[pi(x)]] as pi(x) moves from i to i+1); a step adds
+    # rise[i][q[i]] - rise[i][q[i+1]], in which the offsets cancel
+    rise = [[bytes(width * (1 + (pos[x] < pos[i + 1]) - (pos[x] < pos[i])) for pos in places)
+             for x in range(n)] for i in range(n - 1)]
+    q = bytearray(range(n))
+    exc = (0,) * len(horizontals)  # width * exceedances; pi = identity has none
+    for i, rank, diagonals in _diagonal_walk(n, horizontals):
+        if i is not None:
+            a, b = q[i], q[i + 1]
+            q[i], q[i + 1] = b, a
+            exc = tuple(map(sub, map(add, exc, rise[i][a]), rise[i][b]))
+        buf, counts = slot_of[rank]
+        buf += bytes(map(add, diagonals(types), exc))
+        if len(buf) >= _FLUSH:
+            _tally(buf, counts)
+    census: dict[StratifiedKey, int] = {}
+    for (k, smax), (buf, counts) in slots.items():
+        _tally(buf, counts)
+        for code, cnt in enumerate(counts):
+            if cnt:
+                census[(lams[code % width], k, smax, code // width)] = cnt
     return census
+
+
+@lru_cache(maxsize=None)
+def _stratified_index(n: int) -> dict[tuple[tuple[int, ...], int], tuple[tuple[int, int, int], ...]]:
+    """The stratified census grouped by (diagonal type, vertical cycle
+    count): (lam, k) -> ((smax, exceedances, count), ...)."""
+    index: dict[tuple[tuple[int, ...], int], list] = {}
+    for (lam, k, smax, a), cnt in _census_stratified(n).items():
+        index.setdefault((lam, k), []).append((smax, a, cnt))
+    return {key: tuple(rows) for key, rows in index.items()}
 
 
 @lru_cache(maxsize=None)
@@ -343,10 +421,9 @@ def oracle_p_stratified(
     n = lam.n
     _check_cap(n, cap)
     _check_m(n, m)
-    target = lam.parts
     out: dict[int, int] = {}
-    for (d, kk, smax, a), cnt in _census_stratified(n).items():
-        if d == target and kk == k and smax >= m:
+    for smax, a, cnt in _stratified_index(n).get((lam.parts, k), ()):
+        if smax >= m:
             out[a] = out.get(a, 0) + cnt
     return out
 

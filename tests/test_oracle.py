@@ -119,7 +119,7 @@ def test_swap_ranks_follow_the_swapped_arrangement(n):
     arrangements = list(permutations(range(n)))  # the order of _perm_keys
     rank = {p: r for r, p in enumerate(arrangements)}
     for i in range(n - 1):
-        table = _swap_ranks(n, i)
+        table = _swap_ranks(n, i, tuple(range(factorial(n))))
         assert len(table) == factorial(n)
         for r, p in enumerate(arrangements):
             swapped = (*p[:i], p[i + 1], p[i], *p[i + 2:])
@@ -138,6 +138,38 @@ def test_census_n7_pinned():
     assert len(_alpha_census(7)) == 54
     assert digest(_alpha_census(7)) == "b3e4701744de4bed5cda4d9adfbbe5dd964d96a27a8ded0868d38c8c22495079"
     assert sum(_census(7).values()) == pair_count(7)
+
+
+def test_stratified_census_n6_pinned():
+    # n = 6 is past the stratified reference test and is what verify reads:
+    # digest as enumerated pair by pair per horizontal, before the census
+    # moved onto the adjacent-swap walk
+    census = _census_stratified(6)
+    assert len(census) == 97
+    assert hashlib.sha256(repr(sorted(census.items())).encode()).hexdigest() == (
+        "b8757f62fe1ef7f4ef539e7f2f00bf462c3bd02f62bd3f8f70aeef4614de616f")
+    assert sum(census.values()) == pair_count(6)
+
+
+def test_census_codes_fit_one_byte_up_to_the_hard_cap():
+    # pair-pass codes: a diagonal's cycle-type id and its cut mask
+    for n in range(1, HARD_CAP + 1):
+        assert len(partitions_of(n)) <= 256
+        assert 1 << (n - 1) <= 256
+
+
+def test_byte_code_limits_refuse_before_any_table(monkeypatch):
+    def refused(*args):
+        raise AssertionError("a table was built for a census that cannot be counted")
+
+    monkeypatch.setattr(oracle_module, "_perm_keys", refused)
+    monkeypatch.setattr(oracle_module, "_swap_ranks", refused)
+    # type id + width * exceedances: 30 types * 9 > 256
+    with pytest.raises(ValueError, match="270 byte codes, above the limit of 256"):
+        _census_stratified.__wrapped__(9)
+    # cut masks at n = 10 take 2^9 values
+    with pytest.raises(ValueError, match="512 byte codes, above the limit of 256"):
+        _pair_pass.__wrapped__(10)
 
 
 # Reference enumerations: one tuple per pair, cycle types and cut masks
@@ -274,6 +306,20 @@ def test_census_matches_reference_enumeration(n):
 @pytest.mark.parametrize("n", range(1, 6))
 def test_stratified_census_matches_reference_enumeration(n):
     assert _census_stratified(n) == _ref_census_stratified(n)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_census_buffers_flush_at_any_size(n, monkeypatch):
+    # 1 flushes after every step; 719 divides no step length ((n-1)! bytes)
+    unpatched = (_census(n), _alpha_census(n), _census_stratified(n))
+    references = (_ref_census(n), _ref_alpha_census(n), _ref_census_stratified(n))
+    for size in (1, 719):
+        monkeypatch.setattr(oracle_module, "_FLUSH", size)
+        census, alpha = _pair_pass.__wrapped__(n)
+        stratified = _census_stratified.__wrapped__(n)
+        assert (census, alpha, stratified) == unpatched == references
+        assert sum(census.values()) == sum(stratified.values()) == pair_count(n)
+        assert sum(alpha.values()) == factorial(n - 1) ** 2
 
 
 def test_stratified_marginal_consistency():
