@@ -43,6 +43,7 @@ from itertools import chain, cycle, repeat
 from itertools import permutations as _all_arrangements
 from math import factorial
 from operator import add, itemgetter, sub
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .partitions import Composition, IntegerPartition, partitions_of
 from .perm import (
@@ -164,7 +165,9 @@ def _swap_ranks(n: int, i: int, ranks: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(ranks.__getitem__, map(add, range(len(ranks)), cycle(period))))
 
 
-def _diagonal_walk(n: int, horizontals: tuple[int, ...]):
+def _diagonal_walk(
+    n: int, horizontals: tuple[int, ...]
+) -> Iterator[tuple[int | None, int, Callable[[Sequence], tuple]]]:
     """Walk q = pi^-1 through S_n by adjacent swaps (:func:`_adjacent_swaps`).
 
     Yields, per q: the place i whose swap with i+1 reached it (None for
@@ -221,7 +224,7 @@ def _ranked(n: int, lams: tuple[tuple[int, ...], ...]) -> tuple[list[PermStats],
     return by_rank, types, tuple(r for r, t in enumerate(types) if t == ncycle)
 
 
-def _slots(classes, size: int):
+def _slots(classes: Iterable[Hashable], size: int) -> tuple[dict, list[tuple[bytearray, list[int]]]]:
     """One (buffer, counts) slot per distinct class, and per rank the slot
     of its class."""
     slots: dict = {}
