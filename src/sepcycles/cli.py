@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import partial
 
 from . import counting, oracle, verify
-from .partitions import Composition, IntegerPartition, PartitionParseError
+from .partitions import Composition, IntegerPartition, PartitionParseError, partitions_of
 
 COUNT_QUANTITIES = (
     "stirling", "c-sep", "c-fix", "p-ncycle", "i-ncycle", "p-lambda",
@@ -34,6 +34,8 @@ COUNT_QUANTITIES = (
 PROB_QUANTITIES = ("separation", "isolation", "fpf", "moments")
 # the quantities with no enumeration to answer --source oracle from
 FORMULA_ONLY = ("stirling", "c-sep", "c-fix")
+CAP_HELP = (f"oracle enumeration cap (default {oracle.DEFAULT_CAP}, "
+            f"hard maximum {oracle.HARD_CAP})")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -97,8 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--source", choices=["formula", "oracle"], default="formula",
                          help="compute by formula/recurrence or by enumeration "
                               "(no enumeration for stirling, c-sep, c-fix)")
-    p_count.add_argument("--cap", type=int, default=None,
-                         help="oracle enumeration cap (default 7, hard max 9)")
+    p_count.add_argument("--cap", type=int, default=None, help=CAP_HELP)
 
     p_prob = sub.add_parser("prob", parents=[formatted], help="exact probabilities")
     p_prob.add_argument("quantity", choices=PROB_QUANTITIES)
@@ -114,14 +115,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--kind", choices=["p", "i"], default="p")
     p_table.add_argument("--table-source", choices=["recurrence", "oracle"],
                          default="recurrence")
-    p_table.add_argument("--cap", type=int, default=None)
+    p_table.add_argument("--cap", type=int, default=None, help=CAP_HELP)
 
     p_verify = sub.add_parser("verify", parents=[common],
                               help="run formula-vs-oracle suites")
     p_verify.add_argument("--max-n", type=int, required=True)
     p_verify.add_argument("--suite", choices=list(verify.SUITES) + ["all"],
                           default="all")
-    p_verify.add_argument("--cap", type=int, default=None)
+    p_verify.add_argument("--cap", type=int, default=None, help=CAP_HELP)
     p_verify.add_argument("--quiet", action="store_true",
                           help="print failures and the summary only")
     return parser
@@ -265,12 +266,26 @@ def _run_prob(args) -> list[dict]:
 
 def _run_table(args, cap) -> list[dict]:
     started = time.perf_counter()
-    table = counting.build_count_table(
-        args.n, args.m, kind=args.kind, source=args.table_source, cap=cap,
-    )
+    if args.table_source == "oracle":
+        table = _oracle_table(args.n, args.m, args.kind, cap)
+    else:
+        table = counting.build_count_table(args.n, args.m, kind=args.kind)
     data = table.to_json_dict()
     data["time_seconds"] = round(time.perf_counter() - started, 6)
     return [data]
+
+
+def _oracle_table(n: int, m: int, kind: str, cap: int | None) -> counting.CountTable:
+    """The (lambda, k) table of :func:`counting.build_count_table`, every
+    entry read off the enumeration instead."""
+    value_of = oracle.oracle_p if kind == "p" else oracle.oracle_i
+    entries = {}
+    for lam in partitions_of(n):
+        for k in range(1, n + 1):
+            value = value_of(lam, m, k, cap=cap)
+            if value:
+                entries[(lam, k)] = value
+    return counting.CountTable(n=n, m=m, kind=kind, source="oracle", entries=entries)
 
 
 def _run_verify(args, cap) -> int:

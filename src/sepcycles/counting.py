@@ -10,9 +10,8 @@ Conventions used throughout:
   n-cycles whose product has k cycles and separates (fixes) 1..m.
 * General diagonal types go through the defect recurrence, which starts
   from the closed-form boundary values :func:`p_base` / :func:`i_base`
-  at every n.  Enumeration runs only when a caller names it
-  (``base="oracle"`` or ``source="oracle"``); nothing switches to it by
-  the size of n.
+  at every n.  Nothing here enumerates: this module imports neither
+  :mod:`sepcycles.oracle` nor :mod:`sepcycles.verify`, which check it.
 * Every division is exact and checked; a remainder raises
   :class:`ArithmeticError` instead of rounding.
 * Probabilities and moments are :class:`fractions.Fraction` values,
@@ -26,11 +25,9 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import comb, factorial, prod
-from typing import Literal
 
-from . import oracle as _oracle
 from .partitions import (
     Composition,
     IntegerPartition,
@@ -38,8 +35,6 @@ from .partitions import (
     partitions_with_length,
     splits_of,
 )
-
-BaseValueSource = Literal["closed_form", "oracle"]
 
 
 def binom(a: int, b: int) -> int:
@@ -369,9 +364,7 @@ def _split_graph(
 
 
 @lru_cache(maxsize=None)
-def _lambda_table(
-    n: int, m: int, kind: str, base: str, cap: int | None
-) -> dict[tuple[tuple[int, ...], int], int]:
+def _lambda_table(n: int, m: int, kind: str) -> dict[tuple[tuple[int, ...], int], int]:
     weight = _weight_p if kind == "p" else _weight_i
     splits = _split_graph(n)
     pairs = [
@@ -385,7 +378,7 @@ def _lambda_table(
         k0 = n + 1 - lam.length
         defect = k0 - k
         if defect == 0:
-            table[(lam.parts, k)] = _base_value(lam, m, kind, base, cap)
+            table[(lam.parts, k)] = _base_value(lam, m, kind)
             continue
         numerator = 0
         j = 1
@@ -403,74 +396,64 @@ def _lambda_table(
     return table
 
 
-def _base_value(
-    lam: IntegerPartition, m: int, kind: str, base: str, cap: int | None
-) -> int:
-    n = lam.n
-    k0 = n + 1 - lam.length
-    if base == "oracle":
-        if kind == "p":
-            return _oracle.oracle_p(lam, m, k0, cap=cap)
-        return _oracle.oracle_i(lam, m, k0, cap=cap)
+def _base_value(lam: IntegerPartition, m: int, kind: str) -> int:
+    """The defect-0 entry: the boundary values summed over every vertical
+    type mu of length n + 1 - l(lam)."""
+    k0 = lam.n + 1 - lam.length
     lam_factor = _lam_factor(lam, m, kind)
     if not lam_factor[0]:
         return 0
     return sum(
         _boundary_term(lam, mu, m, lam_factor, mu_factor)
-        for mu, mu_factor in _boundary_row(n, k0, m, kind)
+        for mu, mu_factor in _boundary_row(lam.n, k0, m, kind)
     )
 
 
-def _recurrence_table(
-    n: int, m: int, kind: str, base: str, cap: int | None
-) -> dict[tuple[tuple[int, ...], int], int]:
-    """The cached table of one (n, m, kind, base); n and m are checked by
-    the caller.
+def _recurrence_table(n: int, m: int, kind: str) -> dict[tuple[tuple[int, ...], int], int]:
+    """The cached table of one (n, m, kind); n and m are checked by the
+    caller.
     """
-    if base not in ("closed_form", "oracle"):
-        raise ValueError(f"base must be closed_form or oracle, got {base!r}")
     # separating 1 and fixing nothing constrain nothing: p at m = 0 and
     # m = 1 and i at m = 0 are one table, cached under (0, "p")
     if m == 0 or (m == 1 and kind == "p"):
         m, kind = 0, "p"
-    # only oracle boundary values depend on the cap, so closed-form tables
-    # share one cache entry whatever cap was passed
-    return _lambda_table(n, m, kind, base, cap if base == "oracle" else None)
+    return _lambda_table(n, m, kind)
 
 
-def _lambda_value(
-    lam: IntegerPartition, m: int, k: int, kind: str, base: str, cap: int | None
-) -> int:
+def _check_base(base: str) -> None:
+    """The closed-form boundary values are the only base; enumerated
+    counts come from the oracle itself."""
+    if base != "closed_form":
+        raise ValueError(
+            f"base must be closed_form, got {base!r}; enumerated counts come from "
+            f"sepcycles.oracle (CLI: --source oracle or --table-source oracle)"
+        )
+
+
+def _lambda_value(lam: IntegerPartition, m: int, k: int, kind: str) -> int:
     _check_nmk(lam.n, m, k)
-    return _recurrence_table(lam.n, m, kind, base, cap).get((lam.parts, k), 0)
+    return _recurrence_table(lam.n, m, kind).get((lam.parts, k), 0)
 
 
-def p_lambda(
-    lam: IntegerPartition, m: int, k: int, base: BaseValueSource = "closed_form",
-    cap: int | None = None,
-) -> int:
+def p_lambda(lam: IntegerPartition, m: int, k: int, base: str = "closed_form") -> int:
     """Plane permutations with diagonal cycle type lam whose vertical has
-    k cycles separating 1..m, computed by the downward defect recurrence.
+    k cycles separating 1..m, computed by the downward defect recurrence
+    from the boundary closed form :func:`p_base`; it never enumerates.
 
-    ``base`` picks the defect-0 source: the boundary closed form
-    :func:`p_base` ("closed_form", the default at every n; it never
-    enumerates) or exhaustive enumeration ("oracle", an independent check
-    that refuses n above ``cap``).
+    ``base`` accepts only "closed_form", the one boundary-value source.
     """
-    return _lambda_value(lam, m, k, "p", base, cap)
+    _check_base(base)
+    return _lambda_value(lam, m, k, "p")
 
 
-def i_lambda(
-    lam: IntegerPartition, m: int, k: int, base: BaseValueSource = "closed_form",
-    cap: int | None = None,
-) -> int:
+def i_lambda(lam: IntegerPartition, m: int, k: int, base: str = "closed_form") -> int:
     """Plane permutations with diagonal cycle type lam whose vertical has
-    k cycles fixing 1..m, computed by the downward defect recurrence.
-
-    ``base`` is as in :func:`p_lambda`, with :func:`i_base` as the closed
-    form.
+    k cycles fixing 1..m, computed by the downward defect recurrence from
+    the boundary closed form :func:`i_base`.  ``base`` is as in
+    :func:`p_lambda`.
     """
-    return _lambda_value(lam, m, k, "i", base, cap)
+    _check_base(base)
+    return _lambda_value(lam, m, k, "i")
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +568,7 @@ class CountTable:
     n: int
     m: int
     kind: str  # "p" (separation) or "i" (isolation)
-    source: str  # "closed_form" | "recurrence" | "oracle"
+    source: str  # "recurrence" (build_count_table) or "oracle" (enumerated)
     entries: dict[tuple[IntegerPartition, int], int] = field(default_factory=dict)
 
     def get(self, lam: IntegerPartition, k: int) -> int:
@@ -651,37 +634,20 @@ def table_json(record: dict, indent: int | None = 2) -> str:
     return rest.replace('"entries": []', f'"entries": [\n{body}\n{pad}]', 1)
 
 
-def build_count_table(
-    n: int,
-    m: int,
-    kind: str = "p",
-    source: str = "recurrence",
-    base: BaseValueSource = "closed_form",
-    cap: int | None = None,
-) -> CountTable:
-    """Materialise the full (lambda, k) table for one (n, m).
-
-    ``source="recurrence"`` reads the recurrence table behind
-    :func:`p_lambda` / :func:`i_lambda`, built with the given ``base``
-    (closed-form boundary values by default);
-    ``source="oracle"`` reads every entry off the enumeration.  ``cap``
-    bounds enumeration only.
+def build_count_table(n: int, m: int, kind: str = "p", base: str = "closed_form") -> CountTable:
+    """Materialise the full (lambda, k) table for one (n, m): every nonzero
+    entry of the recurrence table behind :func:`p_lambda` /
+    :func:`i_lambda`, read once.  ``base`` is as in :func:`p_lambda`.
     """
     if kind not in ("p", "i"):
         raise ValueError(f"kind must be 'p' or 'i', got {kind!r}")
-    if source not in ("recurrence", "oracle"):
-        raise ValueError(f"source must be 'recurrence' or 'oracle', got {source!r}")
-    if source == "oracle":
-        value_of = partial(_oracle.oracle_p if kind == "p" else _oracle.oracle_i, cap=cap)
-    else:
-        # one checked read of the cached table, not one query per entry
-        _check_nm(n, m)
-        table = _recurrence_table(n, m, kind, base, cap)
-        value_of = lambda lam, m, k: table.get((lam.parts, k), 0)
+    _check_base(base)
+    _check_nm(n, m)
+    table = _recurrence_table(n, m, kind)
     entries: dict[tuple[IntegerPartition, int], int] = {}
     for lam in partitions_of(n):
         for k in range(1, n + 1):
-            value = value_of(lam, m, k)
+            value = table.get((lam.parts, k), 0)
             if value:
                 entries[(lam, k)] = value
-    return CountTable(n=n, m=m, kind=kind, source=source, entries=entries)
+    return CountTable(n=n, m=m, kind=kind, source="recurrence", entries=entries)

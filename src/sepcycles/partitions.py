@@ -155,43 +155,34 @@ class Composition:
 
 
 def _parse_int_list(text: str, sep: str) -> tuple[int, ...]:
+    """Positive integers joined by ``sep``.  Whitespace may stand on either
+    side of a separator and between two numbers (``"3 1"`` reads as
+    ``"3+1"``); an error carries the offset of the offending character.
+    """
     parts = []
-    pos = 0
-    expect_number = True
-    token_start = 0
-    token = ""
-
-    def flush(at: int):
-        nonlocal token
-        if not token:
-            raise PartitionParseError(text, token_start, "expected a number")
-        parts.append(int(token))
-        token = ""
-
-    for pos, ch in enumerate(text):
-        if ch.isdigit():
-            if expect_number:
-                token_start = pos
-                expect_number = False
-            token += ch
-        elif ch == sep:
-            flush(pos)
-            expect_number = True
-        elif ch.isspace():
-            if token:
-                flush(pos)
-                expect_number = True
-            continue
-        else:
-            raise PartitionParseError(text, pos, f"unexpected character {ch!r}")
-    if expect_number and not token:
-        raise PartitionParseError(text, len(text), "expected a number")
-    if token:
-        flush(len(text))
-    if any(p < 1 for p in parts):
-        bad = next(i for i, p in enumerate(parts) if p < 1)
-        raise PartitionParseError(text, bad, "parts must be positive")
-    return tuple(parts)
+    pos, end = 0, len(text)
+    while True:
+        while pos < end and text[pos].isspace():
+            pos += 1
+        start = pos
+        while pos < end and text[pos].isdecimal():
+            pos += 1
+        if pos == start:
+            if pos < end and text[pos] != sep:
+                raise PartitionParseError(text, pos, f"unexpected character {text[pos]!r}")
+            raise PartitionParseError(text, pos, "expected a number")
+        value = int(text[start:pos])
+        if value < 1:
+            raise PartitionParseError(text, start, "parts must be positive")
+        parts.append(value)
+        while pos < end and text[pos].isspace():
+            pos += 1
+        if pos == end:
+            return tuple(parts)
+        if text[pos] == sep:
+            pos += 1
+        elif not text[pos].isdecimal():
+            raise PartitionParseError(text, pos, f"unexpected character {text[pos]!r}")
 
 
 def _parse_multiplicity_form(text: str) -> IntegerPartition:
@@ -202,23 +193,23 @@ def _parse_multiplicity_form(text: str) -> IntegerPartition:
         if text[pos].isspace():
             pos += 1
             continue
-        start = pos
-        while pos < length and text[pos].isdigit():
+        value_start = pos
+        while pos < length and text[pos].isdecimal():
             pos += 1
-        if pos == start:
+        if pos == value_start:
             raise PartitionParseError(text, pos, "expected a part value")
-        value = int(text[start:pos])
+        value = int(text[value_start:pos])
         if pos >= length or text[pos] != "^":
             raise PartitionParseError(text, pos, "expected '^'")
         pos += 1
         start = pos
-        while pos < length and text[pos].isdigit():
+        while pos < length and text[pos].isdecimal():
             pos += 1
         if pos == start:
             raise PartitionParseError(text, pos, "expected a multiplicity")
         count = int(text[start:pos])
         if value < 1:
-            raise PartitionParseError(text, start, "part values must be positive")
+            raise PartitionParseError(text, value_start, "part values must be positive")
         parts.extend([value] * count)
     if not parts:
         raise PartitionParseError(text, 0, "empty partition")

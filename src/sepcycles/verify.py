@@ -124,19 +124,15 @@ def suite_recurrences(max_n: int, cap: int | None = None) -> list[CheckRecord]:
         for lam in partitions_of(n):
             for m in range(0, min(n, 3) + 1):
                 for k in range(1, n + 1):
-                    expected_p = oracle.oracle_p(lam, m, k, cap=cap)
-                    expected_i = oracle.oracle_i(lam, m, k, cap=cap)
-                    for base in ("oracle", "closed_form"):
-                        _record(
-                            records, suite, "p-lambda",
-                            {"lambda": str(lam), "m": m, "k": k, "base": base},
-                            counting.p_lambda(lam, m, k, base=base, cap=cap), expected_p,
-                        )
-                        _record(
-                            records, suite, "i-lambda",
-                            {"lambda": str(lam), "m": m, "k": k, "base": base},
-                            counting.i_lambda(lam, m, k, base=base, cap=cap), expected_i,
-                        )
+                    params = {"lambda": str(lam), "m": m, "k": k}
+                    _record(
+                        records, suite, "p-lambda", params,
+                        counting.p_lambda(lam, m, k), oracle.oracle_p(lam, m, k, cap=cap),
+                    )
+                    _record(
+                        records, suite, "i-lambda", params,
+                        counting.i_lambda(lam, m, k), oracle.oracle_i(lam, m, k, cap=cap),
+                    )
             _initial_records(records, lam, cap)
     # pure big-integer identity between the n-cycle closed form and its
     # recurrence; no oracle needed, so probe beyond the enumeration cap
@@ -220,9 +216,10 @@ def suite_identities(max_n: int, cap: int | None = None) -> list[CheckRecord]:
                     ok = False
         _record(records, suite, "mirror-ntae-identity", {"n": n}, ok, True)
 
-    # cycle-count bound, read off the census keys (run_suites has checked
-    # max_n against the cap: the census is read without the query guard)
+    # cycle-count bound, read off the census keys; the census has no query
+    # guard of its own, so the cap is checked before each pass
     for n in range(1, max_n + 1):
+        oracle._check_cap(n, cap)
         bound_ok = all(
             len(lam) + len(mu) <= n + 1
             for (lam, mu, _, _) in oracle._census(n).keys()

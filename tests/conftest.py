@@ -1,4 +1,6 @@
+import ast
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -33,3 +35,25 @@ def refuse_census(monkeypatch):
             monkeypatch.setattr(module, name, fresh)
 
     return refuse
+
+
+@pytest.fixture
+def package_imports():
+    """Return a function giving the set of sepcycles modules that a
+    module's source imports, relative or absolute, read by ``ast``."""
+
+    def imports(module):
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        package = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                if node.level:
+                    package.add((node.module or "").split(".")[0])
+                elif (node.module or "").startswith("sepcycles"):
+                    package.add(node.module.partition(".")[2].split(".")[0])
+            elif isinstance(node, ast.Import):
+                package.update(alias.name.partition(".")[2].split(".")[0]
+                               for alias in node.names if alias.name.startswith("sepcycles"))
+        return package
+
+    return imports

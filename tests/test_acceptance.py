@@ -68,13 +68,11 @@ def test_04_isolation_probability(records):
 
 
 def test_05_general_diagonal_pipeline_vs_oracle(records):
-    # both boundary-value sources, m <= 3; and the n-cycle recurrence
-    # against its closed form, n <= 12
+    # the recurrence from the closed-form boundary values, m <= 3; and the
+    # n-cycle recurrence against its closed form, n <= 12
     assert_records(records, {
-        "p-lambda": 1068, "i-lambda": 1068, "ncycle-recurrence-identity": 90,
+        "p-lambda": 534, "i-lambda": 534, "ncycle-recurrence-identity": 90,
     })
-    closed_form = [r for r in records if r.params.get("base") == "closed_form"]
-    assert_records(closed_form, {"p-lambda": 534, "i-lambda": 534})
 
 
 def test_06_initial_value_closed_forms(records):
@@ -125,7 +123,7 @@ def test_10_exact_divisibility_everywhere(records):
     # test_counting.py (test_p_ncycle_values_and_parity,
     # test_iso_prob_equals_count_ratio, test_alpha_symmetry_ratio)
     assert_records(records, {
-        "p-ncycle": 168, "i-ncycle": 140, "p-lambda": 1068, "i-lambda": 1068,
+        "p-ncycle": 168, "i-ncycle": 140, "p-lambda": 534, "i-lambda": 534,
         "p-initial": 250, "i-initial": 250, "alpha-separated": 127,
     })
     counts = [record for record in records if record.check in COUNT_CHECKS]
@@ -147,8 +145,9 @@ def test_every_check_is_pinned(records):
 
 def test_run_suites_refuses_max_n_beyond_cap(refuse_census, monkeypatch):
     # every suite, the census-reading identities one included, is refused
-    # before any census pass starts
-    refuse_census()
+    # before any census pass starts; called directly, each suite refuses
+    # at its first n = 8 query, before the n = 8 pass starts
+    refuse_census(from_n=8)
     passes = []
     guarded = oracle._pair_pass
 
@@ -163,3 +162,7 @@ def test_run_suites_refuses_max_n_beyond_cap(refuse_census, monkeypatch):
     with pytest.raises(oracle.OracleCapError):
         verify.run_suites(["identities"], 9, cap=8)
     assert passes == []
+    for name in verify.SUITES.values():
+        with pytest.raises(oracle.OracleCapError, match="n=8: cap is 7"):
+            getattr(verify, name)(8)
+    assert set(passes) <= set(range(1, 8))

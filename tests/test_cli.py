@@ -407,4 +407,4 @@ def test_verify_refuses_format(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "verify", "--max-n", "2", "--quiet",
                            "--config", str(config))
     assert code == 0
-    assert out.startswith("217 checks, 0 mismatches")
+    assert out.startswith("189 checks, 0 mismatches")

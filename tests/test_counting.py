@@ -333,9 +333,9 @@ def test_lambda_pipeline_matches_ncycle_closed_form():
         for m in range(0, n + 1):
             for k in range(1, n + 1):
                 expected = p_ncycle(n, m, k)
-                assert p_lambda(lam, m, k, base="closed_form") == expected
+                assert p_lambda(lam, m, k) == expected
                 if m < n:
-                    assert i_lambda(lam, m, k, base="closed_form") == i_ncycle(n, m, k)
+                    assert i_lambda(lam, m, k) == i_ncycle(n, m, k)
 
 
 def test_lambda_pipeline_identity_diagonal():
@@ -345,9 +345,9 @@ def test_lambda_pipeline_identity_diagonal():
         for m in range(0, 2):
             for k in range(1, n + 1):
                 expected = factorial(n - 1) if k == 1 else 0
-                assert p_lambda(ones, m, k, base="closed_form") == expected
+                assert p_lambda(ones, m, k) == expected
         for k in range(1, n + 1):
-            assert p_lambda(ones, 2, k, base="closed_form") == 0
+            assert p_lambda(ones, 2, k) == 0
 
 
 def test_lambda_zero_off_support():
@@ -362,9 +362,9 @@ def test_lambda_zero_off_support():
 def test_lambda_m_zero_equals_m_one_and_i_reduction(monkeypatch):
     # built directly, past the shared cache key, the three tables agree
     for n in range(1, 13):
-        p0 = _lambda_table(n, 0, "p", "closed_form", None)
-        assert p0 == _lambda_table(n, 1, "p", "closed_form", None)
-        assert p0 == _lambda_table(n, 0, "i", "closed_form", None)
+        p0 = _lambda_table(n, 0, "p")
+        assert p0 == _lambda_table(n, 1, "p")
+        assert p0 == _lambda_table(n, 0, "i")
     # so the eight (kind, m) tables at one n fill six cache entries
     monkeypatch.setattr(
         counting, "_lambda_table", lru_cache(maxsize=None)(_lambda_table.__wrapped__)
@@ -375,43 +375,48 @@ def test_lambda_m_zero_equals_m_one_and_i_reduction(monkeypatch):
     assert counting._lambda_table.cache_info().currsize == 6
 
 
-def test_lambda_oracle_base_unavailable_beyond_cap():
-    from sepcycles.oracle import OracleCapError
-
-    lam = P(*([1] * 8))
-    with pytest.raises(OracleCapError):
-        p_lambda(lam, 0, 1, base="oracle")
+def test_counting_imports_only_partitions(package_imports):
+    # counting is what the oracle and verify check, so it imports neither
+    assert package_imports(counting) == {"partitions"}
 
 
-def test_closed_form_table_cache_ignores_cap():
-    from sepcycles.oracle import OracleCapError
-
-    _lambda_table.cache_clear()
-    lam = P(5, 3)
-    first = p_lambda(lam, 2, 2, base="closed_form", cap=9)
-    assert p_lambda(lam, 2, 2, base="closed_form", cap=None) == first
-    assert _lambda_table.cache_info().currsize == 1
-    # the oracle base keeps its cap: the refusal above it is unchanged
-    with pytest.raises(OracleCapError):
-        p_lambda(lam, 2, 2, base="oracle")
+def test_base_accepts_only_closed_form():
+    # the closed forms are the one boundary-value source; enumerated counts
+    # are the oracle's own queries, and the refusal says where to find them
+    message = "base must be closed_form, got 'oracle'; enumerated counts come from sepcycles.oracle"
+    for call in (
+        lambda: p_lambda(P(2, 1), 0, 2, base="oracle"),
+        lambda: i_lambda(P(2, 1), 0, 2, base="oracle"),
+        lambda: build_count_table(3, 0, base="oracle"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
 
 
 def test_default_base_never_enumerates(refuse_census):
-    # the default boundary values are the closed forms at every n: with the
-    # census refused from n = 7 on, the n = 7 tables still answer, equal to
-    # the census read before the refusal; only source="oracle" reaches it
+    # the boundary values are the closed forms at every n: with the census
+    # refused from n = 7 on, the n = 7 tables still answer, equal to the
+    # oracle queries read before the refusal
     m = 2
-    expected = {kind: build_count_table(7, m, kind=kind, source="oracle") for kind in "pi"}
+    expected = {
+        kind: {
+            (lam, k): value
+            for lam in partitions_of(7)
+            for k in range(1, 8)
+            if (value := query(lam, m, k))
+        }
+        for kind, query in (("p", oracle.oracle_p), ("i", oracle.oracle_i))
+    }
     refuse_census()
     for kind, value_of in (("p", p_lambda), ("i", i_lambda)):
         table = build_count_table(7, m, kind=kind)
         assert table.source == "recurrence"
-        assert table.entries == expected[kind].entries
+        assert table.entries == expected[kind]
         for lam in partitions_of(7):
             for k in range(1, 8):
-                assert value_of(lam, m, k) == expected[kind].get(lam, k), (kind, lam, k)
+                assert value_of(lam, m, k) == expected[kind].get((lam, k), 0), (kind, lam, k)
     with pytest.raises(RuntimeError, match="census refused"):
-        build_count_table(7, m, source="oracle")
+        oracle.oracle_p(P(7), m, 1)
 
 
 def test_closed_form_path_never_enumerates(refuse_census, capsys):
@@ -434,16 +439,16 @@ def test_lambda_pipeline_beyond_oracle_range():
     total = 0
     for lam in partitions_of(n):
         for k in range(1, n + 1):
-            value = p_lambda(lam, 0, k, base="closed_form")
+            value = p_lambda(lam, 0, k)
             assert value >= 0
             total += value
     assert total == factorial(n - 1) * factorial(n)
     for m in range(0, n + 1):
         for k in range(1, n + 1):
-            assert p_lambda(P(n), m, k, base="closed_form") == p_ncycle(n, m, k)
+            assert p_lambda(P(n), m, k) == p_ncycle(n, m, k)
         if m < n:
             for k in range(1, n + 1):
-                assert i_lambda(P(n), m, k, base="closed_form") == i_ncycle(n, m, k)
+                assert i_lambda(P(n), m, k) == i_ncycle(n, m, k)
 
 
 def test_lambda_tables_exact_beyond_oracle_cap():
@@ -453,7 +458,7 @@ def test_lambda_tables_exact_beyond_oracle_cap():
     n = 14
     for kind in ("p", "i"):
         for m in range(0, 4):
-            table = build_count_table(n, m, kind=kind, base="closed_form")
+            table = build_count_table(n, m, kind=kind)
             column = c_sep if kind == "p" else c_fix
             ncycle = p_ncycle if kind == "p" else i_ncycle
             for k in range(1, n + 1):
@@ -477,7 +482,7 @@ def test_odd_defects_are_zero_and_never_stored(n):
     assert all((n + 1 - len(lam) - len(mu)) % 2 == 0 for lam, mu, _, _ in oracle._census(n))
     for kind in "pi":
         for m in range(0, min(n, 3) + 1):
-            table = _lambda_table(n, m, kind, "closed_form", None)
+            table = _lambda_table(n, m, kind)
             assert all((n + 1 - len(lam) - k) % 2 == 0 for lam, k in table), (kind, m)
 
 
@@ -509,7 +514,7 @@ def test_boundary_exactness_checked_per_pair(monkeypatch, kind):
     ((0, 0), {}, "n must be >= 1, got 0"),
     ((3, 5), {}, "m must satisfy 0 <= m <= 3, got 5"),
     ((3, -1), {"kind": "i"}, "m must satisfy 0 <= m <= 3, got -1"),
-    ((4, 1), {"base": "bogus"}, "base must be closed_form or oracle, got 'bogus'"),
+    ((4, 1), {"base": "bogus"}, "base must be closed_form, got 'bogus'"),
 ])
 def test_build_count_table_validates_arguments(args, kwargs, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -519,7 +524,7 @@ def test_build_count_table_validates_arguments(args, kwargs, message):
 def test_count_table_ncycle_parity_support():
     # full-cycle diagonal entries appear only at even n - k
     for n in range(2, 7):
-        table = build_count_table(n, 0, kind="p", source="recurrence")
+        table = build_count_table(n, 0, kind="p")
         for (lam, k), value in table.entries.items():
             if lam == P(n):
                 assert (n - k) % 2 == 0 and value > 0
@@ -627,7 +632,7 @@ def test_alpha_symmetry_ratio():
 
 
 def test_count_table_round_trip():
-    table = build_count_table(4, 2, kind="p", source="recurrence")
+    table = build_count_table(4, 2, kind="p")
     assert table.get(P(4), 2) == 16
     assert table.get(P(4), 3) == 0  # absent entries are zero
     text = table.to_json()
@@ -657,8 +662,11 @@ def test_to_json_is_json_dumps_of_to_json_dict():
             assert table.to_json(indent=indent) == json.dumps(data, indent=indent)
 
 
-def test_count_table_oracle_source():
-    formula = build_count_table(4, 1, kind="i", source="recurrence")
-    oracle_table = build_count_table(4, 1, kind="i", source="oracle")
+def test_count_table_oracle_source(capsys):
+    # the enumerated table is the CLI's --table-source oracle
+    formula = build_count_table(4, 1, kind="i")
+    args = ["table", "--n", "4", "--m", "1", "--kind", "i", "--table-source", "oracle"]
+    assert cli.main(args) == 0
+    oracle_table = CountTable.from_json(capsys.readouterr().out)
     assert formula.entries == oracle_table.entries
     assert oracle_table.source == "oracle"

@@ -1,11 +1,9 @@
-import ast
 import hashlib
 from collections import Counter
 from functools import lru_cache
 from itertools import permutations
 from math import factorial
 from operator import itemgetter
-from pathlib import Path
 
 import pytest
 
@@ -399,18 +397,7 @@ def test_domain_errors():
         oracle_i(P(3), -1, 1)
 
 
-def test_oracle_imports_only_partitions_and_perm():
+def test_oracle_imports_only_partitions_and_perm(package_imports):
     # the oracle checks counting, so it must never import it (directly or
     # through verify/cli); the permutation kernel it shares lives in perm
-    tree = ast.parse(Path(oracle_module.__file__).read_text(encoding="utf-8"))
-    package = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            if node.level:
-                package.add((node.module or "").split(".")[0])
-            elif (node.module or "").startswith("sepcycles"):
-                package.add(node.module.partition(".")[2].split(".")[0])
-        elif isinstance(node, ast.Import):
-            package.update(alias.name.partition(".")[2].split(".")[0]
-                           for alias in node.names if alias.name.startswith("sepcycles"))
-    assert package == {"partitions", "perm"}
+    assert package_imports(oracle_module) == {"partitions", "perm"}

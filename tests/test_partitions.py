@@ -51,11 +51,26 @@ def test_partition_parse_errors_carry_position():
         IntegerPartition.from_string("3+x+1")
     assert info.value.position == 2
     with pytest.raises(PartitionParseError):
-        IntegerPartition.from_string("3++1")
-    with pytest.raises(PartitionParseError):
         IntegerPartition.from_string("1^")
-    with pytest.raises(PartitionParseError):
-        IntegerPartition.from_string("")
+    # the position is the offending character's, never a part index
+    for parse, text, position in [
+        (IntegerPartition.from_string, "3++1", 2),
+        (IntegerPartition.from_string, "", 0),
+        (IntegerPartition.from_string, "3+", 2),
+        (IntegerPartition.from_string, "3+0", 2),
+        (IntegerPartition.from_string, "4+2+0+1", 4),
+        (IntegerPartition.from_string, "3\u00b2", 1),
+        (IntegerPartition.from_string, "0^2", 0),
+        (Composition.from_string, "1,,2", 2),
+    ]:
+        with pytest.raises(PartitionParseError) as info:
+            parse(text)
+        assert info.value.position == position, text
+    # whitespace on either side of a separator reads the same
+    for text in ("3+1", "3 +1", "3+ 1", " 3 + 1 "):
+        assert IntegerPartition.from_string(text) == P(3, 1), text
+    for text in ("1,2", "1 ,2", "1, 2"):
+        assert Composition.from_string(text).parts == (1, 2), text
 
 
 def test_partitions_of_counts_and_order():
