@@ -39,9 +39,7 @@ from .partitions import (
     Composition,
     IntegerPartition,
     PartitionParseError,
-    merge_multiplicity,
     partitions_of,
-    splits_of,
 )
 from .perm import (
     Permutation,
@@ -80,7 +78,6 @@ __all__ = [
     "i_ncycle",
     "iso_prob_ncycle",
     "isolates",
-    "merge_multiplicity",
     "oracle_alpha",
     "oracle_fixed_point_distribution",
     "oracle_i",
@@ -96,6 +93,5 @@ __all__ = [
     "resolve_p_base_reading",
     "sep_prob_ncycle",
     "separates",
-    "splits_of",
     "stirling_c",
 ]

@@ -140,7 +140,12 @@ def _load_config(path: str) -> dict:
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
             if key == "oracle_cap":
-                config[key] = int(value)
+                try:
+                    config[key] = int(value)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}:{lineno}: oracle_cap must be an integer, got {value!r}"
+                    ) from None
             elif key == "format":
                 config[key] = value
             else:
@@ -193,7 +198,13 @@ def _run_count(args, cap) -> list[dict]:
     if args.k is None:
         raise ValueError("--k is required for this quantity")
     first_k = 0 if q == "stirling" else 1
-    ks = list(range(first_k, n + 1)) if args.k == "all" else [int(args.k)]
+    if args.k == "all":
+        ks = list(range(first_k, n + 1))
+    else:
+        try:
+            ks = [int(args.k)]
+        except ValueError:
+            raise ValueError(f"--k must be an integer or 'all', got {args.k!r}") from None
 
     if q == "stirling":
         for k in ks:

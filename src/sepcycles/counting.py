@@ -33,7 +33,6 @@ from .partitions import (
     IntegerPartition,
     partitions_of,
     partitions_with_length,
-    splits_of,
 )
 
 
@@ -350,17 +349,35 @@ def _split_graph(
     n: int,
 ) -> dict[tuple[int, ...], tuple[tuple[tuple[tuple[int, ...], int], ...], ...]]:
     """Refinement inputs of the recurrence for every partition lam of n:
-    group j - 1 holds each (mu, kappa) with mu a split of one part of lam
-    into 2j + 1 >= 3 pieces, so mu has 2j more parts than lam.  Built once
-    per n and shared by every m and kind.
+    group j - 1 holds each (mu, kappa), in decreasing order of mu, with mu
+    a split of one part of lam into k = 2j + 1 >= 3 pieces, so mu has 2j
+    more parts than lam.  Built once per n and shared by every m and kind.
+
+    Splitting the part v of lam into the pieces q gives
+    mu = (lam - {v}) + q.  Every piece is smaller than v, so v is the one
+    value that mu holds fewer times than lam, and mu fixes both v and q.
+    The merge multiplicity kappa counts the ways to choose k parts of mu,
+    equal parts distinguished, that merge back to lam: they must be the
+    pieces q, so kappa = prod_x binom(mult_mu(x), mult_q(x)).
+
+    >>> _split_graph(4)[(3, 1)]
+    ((((1, 1, 1, 1), 4),),)
     """
-    return {
-        lam.parts: tuple(
-            tuple((mu.parts, kappa) for mu, kappa in splits_of(lam, k))
-            for k in range(3, n - lam.length + 2, 2)
-        )
-        for lam in partitions_of(n)
-    }
+    graph = {}
+    for lam in partitions_of(n):
+        groups = []
+        for k in range(3, n - lam.length + 2, 2):
+            group = []
+            for v in set(lam.parts):
+                rest = list(lam.parts)
+                rest.remove(v)
+                for q in partitions_with_length(v, k):
+                    mu = tuple(sorted(rest + list(q.parts), reverse=True))
+                    kappa = prod(comb(mu.count(x), c) for x, c in q.multiplicities().items())
+                    group.append((mu, kappa))
+            groups.append(tuple(sorted(group, reverse=True)))
+        graph[lam.parts] = tuple(groups)
+    return graph
 
 
 @lru_cache(maxsize=None)

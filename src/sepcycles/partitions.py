@@ -1,16 +1,6 @@
-"""Integer partitions, integer compositions, and the part-splitting relation.
+"""Integer partitions and integer compositions.
 
-Partitions are stored as non-increasing tuples of positive parts.  The
-splitting relation (mu arises from lam by splitting one part into k
-positive parts) and the merge count ``merge_multiplicity(mu, lam, k)``
-drive the cycle-type recurrences in :mod:`sepcycles.counting`.
-
-The merge count has a closed form.  Once lam and the merged part v are
-fixed, the merged pieces are forced: P = mu - (lam - {v}).  So the count
-is a sum, over the distinct values v of lam such that lam - {v} is a
-sub-multiset of mu, of prod_x binom(mult_mu(x), mult_P(x)); |P| = k and
-sum(P) = v follow from l(mu) = l(lam) + k - 1 and |mu| = |lam|.
-``splits_of`` is memoised, so each (lam, k) is split once per process.
+Partitions are stored as non-increasing tuples of positive parts.
 
 Text forms: a partition renders as ``3+2+1+1`` or, in multiplicity form,
 ``1^2 2^1 3^1``; a composition renders as comma-separated parts ``1,3``.
@@ -20,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 from operator import index
 from typing import Iterable, Iterator
 
@@ -210,9 +199,10 @@ def _parse_multiplicity_form(text: str) -> IntegerPartition:
         count = int(text[start:pos])
         if value < 1:
             raise PartitionParseError(text, value_start, "part values must be positive")
+        if count < 1:
+            raise PartitionParseError(text, start, "multiplicities must be positive")
         parts.extend([value] * count)
-    if not parts:
-        raise PartitionParseError(text, 0, "empty partition")
+    # "^" in the text makes the loop read at least one term, so parts is non-empty
     return IntegerPartition(tuple(parts))
 
 
@@ -248,62 +238,3 @@ def compositions_of(n: int) -> Iterator[Composition]:
 @lru_cache(maxsize=None)
 def partitions_with_length(n: int, length: int) -> tuple[IntegerPartition, ...]:
     return tuple(lam for lam in partitions_of(n) if lam.length == length)
-
-
-def merge_multiplicity(mu: IntegerPartition, lam: IntegerPartition, k: int) -> int:
-    """Ways to merge k parts of mu (equal parts distinguished) into one,
-    obtaining lam.  Returns 0 when no merge works, which encodes that the
-    splitting relation fails.
-
-    Closed form: merging into the part v of lam leaves lam - {v}, so the
-    merged pieces are P = mu - (lam - {v}), and choosing them among the
-    equal parts of mu gives prod_x binom(mult_mu(x), mult_P(x)) ways.
-    The count sums this over the distinct values v of lam for which
-    lam - {v} is a sub-multiset of mu.
-
-    >>> merge_multiplicity(IntegerPartition((2, 2, 1, 1)), IntegerPartition((3, 2, 1)), 2)
-    4
-    """
-    if k < 1 or mu.length != lam.length + k - 1 or mu.n != lam.n:
-        return 0
-    mu_mult = mu.multiplicities()
-    lam_mult = lam.multiplicities()
-    count = 0
-    for v in lam_mult:
-        # choose which parts of mu stay unmerged: the parts of lam - {v}
-        ways = 1
-        for x, mult in lam_mult.items():
-            kept = mult - (x == v)
-            available = mu_mult.get(x, 0)
-            if kept > available:
-                ways = 0
-                break
-            ways *= comb(available, kept)
-        count += ways
-    return count
-
-
-@lru_cache(maxsize=None)
-def splits_of(lam: IntegerPartition, k: int) -> tuple[tuple[IntegerPartition, int], ...]:
-    """All mu obtained from lam by splitting one part into k positive parts,
-    each paired with its positive merge multiplicity.
-    """
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    candidates: set[tuple[int, ...]] = set()
-    seen_values: set[int] = set()
-    for idx, value in enumerate(lam.parts):
-        if value in seen_values or value < k:
-            continue
-        seen_values.add(value)
-        rest = lam.parts[:idx] + lam.parts[idx + 1:]
-        for pieces in partitions_with_length(value, k):
-            candidates.add(tuple(sorted(rest + pieces.parts, reverse=True)))
-    out = []
-    for parts in sorted(candidates, reverse=True):
-        mu = IntegerPartition(parts)
-        kappa = merge_multiplicity(mu, lam, k)
-        if kappa > 0:
-            out.append((mu, kappa))
-    return tuple(out)
-

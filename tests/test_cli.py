@@ -231,6 +231,13 @@ def test_parse_error_reports_position(capsys):
     assert "position 2" in err
 
 
+def test_count_k_must_be_integer_or_all(capsys):
+    code, out, err = run_cli(capsys, "count", "p-ncycle", "--n", "4", "--k", "x")
+    assert code == 2
+    assert "--k must be an integer or 'all', got 'x'" in err
+    assert out == ""
+
+
 def test_precondition_errors_surface(capsys):
     code, _, err = run_cli(capsys, "count", "i-ncycle", "--n", "4", "--m", "4",
                            "--k", "2")
@@ -275,6 +282,17 @@ def test_config_file(tmp_path, capsys):
     )
     assert code == 2
     assert "hard maximum" in err
+
+
+def test_config_cap_must_be_integer(tmp_path, capsys):
+    config = tmp_path / "sepcycles.cfg"
+    config.write_text("format = json\noracle_cap=abc\n")
+    code, out, err = run_cli(
+        capsys, "count", "stirling", "--n", "4", "--k", "2", "--config", str(config),
+    )
+    assert code == 2
+    assert f"{config}:2: oracle_cap must be an integer, got 'abc'" in err
+    assert out == ""
 
 
 def test_verify_passes_and_reports(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from collections import Counter
@@ -473,6 +474,19 @@ def test_lambda_tables_exact_beyond_oracle_cap():
                         z *= value**count * factorial(count)
                     row = sum(table.get(lam, k) for k in range(1, n + 1))
                     assert row == exact_div(factorial(n - 1) * factorial(n), z), lam
+
+
+def test_recurrence_tables_pinned_past_the_oracle():
+    # every entry of the sixteen tables at n = 8 and 12, where the verify
+    # suites no longer reach: a changed split or weight changes the digest
+    digest = hashlib.sha256()
+    for n in (8, 12):
+        for kind in ("p", "i"):
+            for m in range(0, 4):
+                digest.update(build_count_table(n, m, kind).to_json().encode())
+    assert digest.hexdigest() == (
+        "7a4a461655df47f5ac12bee901da036b3b331767bf2876dab63d3ff929be01a4"
+    )
 
 
 @pytest.mark.parametrize("n", range(1, 8))

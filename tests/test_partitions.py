@@ -3,16 +3,15 @@ from itertools import combinations
 
 import pytest
 
-from sepcycles import partitions
+from sepcycles import counting, partitions
+from sepcycles.counting import _split_graph
 from sepcycles.partitions import (
     Composition,
     IntegerPartition,
     PartitionParseError,
     compositions_of,
-    merge_multiplicity,
     partitions_of,
     partitions_with_length,
-    splits_of,
 )
 
 
@@ -61,6 +60,8 @@ def test_partition_parse_errors_carry_position():
         (IntegerPartition.from_string, "4+2+0+1", 4),
         (IntegerPartition.from_string, "3\u00b2", 1),
         (IntegerPartition.from_string, "0^2", 0),
+        (IntegerPartition.from_string, "2^0 1^1", 2),
+        (IntegerPartition.from_string, "1^0", 2),
         (Composition.from_string, "1,,2", 2),
     ]:
         with pytest.raises(PartitionParseError) as info:
@@ -107,75 +108,31 @@ def reference_merge_multiplicity(mu, lam, k):
     return count
 
 
-def test_merge_multiplicity_matches_enumeration():
+def test_split_graph_matches_enumeration():
+    # group (k - 3) / 2 of lam lists every mu with a nonzero merge count,
+    # in reverse-lexicographic order; past the last group nothing splits
     for n in range(1, 10):
-        for mu in partitions_of(n):
-            for lam in partitions_of(n):
-                for k in range(0, mu.length + 2):
-                    assert merge_multiplicity(mu, lam, k) == reference_merge_multiplicity(
-                        mu, lam, k
-                    ), (mu, lam, k)
-
-
-def test_splits_of_matches_enumeration():
-    for n in range(1, 10):
+        graph = _split_graph(n)
         for lam in partitions_of(n):
-            for k in range(2, n + 1):
+            groups = graph[lam.parts]
+            for k in range(3, n + 2, 2):
                 expected = []
-                for mu in partitions_of(n):  # reverse-lexicographic, like splits_of
+                for mu in partitions_of(n):
                     kappa = reference_merge_multiplicity(mu, lam, k)
                     if kappa:
-                        expected.append((mu, kappa))
-                assert splits_of(lam, k) == tuple(expected), (lam, k)
-
-
-def test_merge_multiplicity_examples():
-    # two unit parts and two 2-parts merging pairwise into 1+2+3
-    assert merge_multiplicity(P(1, 1, 2, 2), P(1, 2, 3), 2) == 4
-    # merging a single part is choosing it
-    for lam in partitions_of(5):
-        assert merge_multiplicity(lam, lam, 1) == lam.length
-    # three distinguished unit parts, merge two of them
-    assert merge_multiplicity(P(1, 1, 1), P(2, 1), 2) == 3
-    # non-relation encodes as zero
-    assert merge_multiplicity(P(2, 2), P(3, 1), 2) == 0
-    assert merge_multiplicity(P(2, 1), P(2, 2), 2) == 0  # different n
-
-
-def test_merge_multiplicity_ignores_input_order():
-    assert merge_multiplicity(
-        IntegerPartition((1, 2, 1, 2)), P(1, 2, 3), 2
-    ) == merge_multiplicity(P(2, 2, 1, 1), P(1, 2, 3), 2)
-
-
-def test_splits_of_examples():
-    assert [(mu.parts, k) for mu, k in splits_of(P(3), 3)] == [((1, 1, 1), 1)]
-    assert splits_of(P(2), 3) == ()
-    assert [(mu.parts, k) for mu, k in splits_of(P(4), 3)] == [((2, 1, 1), 1)]
-    with pytest.raises(ValueError):
-        splits_of(P(4), 1)
-
-
-def test_splits_merge_consistency():
-    # mu appears in splits_of(lam, k) exactly when kappa(mu, lam, k) > 0
-    for n in range(1, 9):
-        for lam in partitions_of(n):
-            for k in range(2, n + 1):
-                listed = dict(splits_of(lam, k))
-                for mu in partitions_of(n):
-                    kappa = merge_multiplicity(mu, lam, k)
-                    if kappa > 0:
-                        assert listed.get(mu) == kappa, (lam, mu, k)
-                    else:
-                        assert mu not in listed
+                        expected.append((mu.parts, kappa))
+                index = (k - 3) // 2
+                group = groups[index] if index < len(groups) else ()
+                assert group == tuple(expected), (lam, k)
 
 
 def test_every_partition_merges_fully_into_one_part():
-    for n in range(1, 9):
-        top = IntegerPartition((n,))
+    # each mu of odd length >= 3 splits off the one-part lam exactly once
+    for n in range(1, 10):
+        groups = _split_graph(n)[(n,)]
         for mu in partitions_of(n):
-            if mu.length >= 2:
-                assert merge_multiplicity(mu, top, mu.length) == 1
+            if mu.length >= 3 and mu.length % 2:
+                assert (mu.parts, 1) in groups[(mu.length - 3) // 2]
 
 
 def test_composition_blocks_and_text():
@@ -203,7 +160,7 @@ def test_composition_blocks_and_text():
 
 
 def test_partitions_doctests_pass():
-    # the examples in partitions_of and merge_multiplicity run as doctests
-    results = doctest.testmod(partitions)
-    assert results.failed == 0
-    assert results.attempted >= 2
+    # the examples in partitions_of and counting._split_graph run as doctests
+    results = [doctest.testmod(module) for module in (partitions, counting)]
+    assert sum(r.failed for r in results) == 0
+    assert sum(r.attempted for r in results) >= 2
