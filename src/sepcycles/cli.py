@@ -214,6 +214,9 @@ def _run_count(args, cap) -> list[dict]:
                                    value, "closed_form", started))
         return records
 
+    if q == "i-ncycle" and not 0 <= args.m < n:
+        # the closed form's domain (it divides by n - m), whichever source answers
+        raise ValueError(f"m must satisfy 0 <= m < n, got m={args.m}, n={n}")
     # quantity -> (formula, the source it reports, enumeration or None), each
     # called as f(lam, m, k); lam is the n-cycle type (n) unless --lambda
     # gives it.  Enumeration runs only on --source oracle, which is refused

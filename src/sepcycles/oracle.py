@@ -8,33 +8,31 @@ the largest prefixes of [n] that pi separates / fixes.
 
 One unsliced, cached pass per n visits every one of the (n-1)! * n!
 pairs; there is no conjugacy-class or other symmetry shortcut, so the
-census stays an independent check.  Permutations are ``bytes`` images,
-each walked once: a table built once per n keys it by (cycle type,
-valid-cut mask, largest separated prefix, largest fixed prefix).  The
-pass walks pi^-1 through S_n by adjacent swaps (Steinhaus-Johnson-Trotter
-order) and holds the ranks of its (n-1)! diagonals, one per horizontal;
-a swap moves every diagonal to a known rank, so each step gathers the
-next ranks from a table built once per pass.  Each pair then adds one
-byte, its diagonal's cycle-type id, to a buffer for the vertical's
-class (cycle type and prefixes, read off the keyed table); a full buffer
-is counted value by value and emptied, so every pair is counted and the
-memory stays flat.  The verticals that are n-cycles give exactly the
-products of two n-cycles, so the alpha (block-separation) census is
-counted on their slice of the same pass, one byte per pair for the
-diagonal's cut mask.  The exceedance-stratified census takes the same
-walk with one byte per pair for (diagonal type, exceedances), keeping
-every horizontal's exceedance count up to date as the vertical moves.
-Queries read the cached censuses through indexes.
-Cycle walks and inverses come from the 0-based kernel in
-:mod:`sepcycles.perm`; the oracle imports nothing else from the package
-but :mod:`sepcycles.partitions`, and never the counting it checks.
+census stays an independent check.  Each permutation of S_n is walked
+once, into a table cached per n that holds its statistics by rank.  The
+pass walks pi^-1 through S_n by adjacent swaps
+(Steinhaus-Johnson-Trotter order) and holds the ranks of its (n-1)!
+diagonals, one per horizontal; a swap moves every diagonal to a known
+rank, so each step gathers the next ranks from a table built once per
+pass.  Each pair then adds one byte, its diagonal's cycle-type id, to a
+buffer for the vertical's class (cycle type and prefixes, read off the
+per-rank table); a full buffer is counted value by value and emptied, so
+every pair is counted and the memory stays flat.  The verticals that are
+n-cycles give exactly the products of two n-cycles, so the alpha
+(block-separation) census is counted on their slice of the same pass,
+one byte per pair for the diagonal's cut mask.  The
+exceedance-stratified census takes the same walk with one byte per pair
+for (diagonal type, exceedances), keeping every horizontal's exceedance
+count up to date as the vertical moves.  Queries read the cached
+censuses through indexes.  Cycle walks and inverses come from the
+0-based kernel in :mod:`sepcycles.perm`; the oracle imports nothing else
+from the package but :mod:`sepcycles.partitions`, and never the counting
+it checks.
 
 The enumeration is exact or it refuses: queries above the configured cap
-(default 7, hard maximum 9 -- the n = 9 census has 72 times the pairs of
-the n = 8 one) raise :class:`OracleCapError`, and a census whose codes
-do not fit one byte (the stratified one at n = 9) raises
-:class:`ValueError` before building anything.  There is no sampling
-fallback.
+(default 7, hard maximum 8, where every census code fits one byte)
+raise :class:`OracleCapError`, and a census pass above the hard maximum
+raises :class:`ValueError` before building anything.  No sampling.
 """
 from __future__ import annotations
 
@@ -56,7 +54,7 @@ from .perm import (
 )
 
 DEFAULT_CAP = 7
-HARD_CAP = 9
+HARD_CAP = 8
 
 
 class OracleCapError(ValueError):
@@ -93,28 +91,37 @@ def _check_cap(n: int, cap: int | None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# internal enumeration (0-based images as bytes)
+# internal enumeration (0-based arrangements of range(n), by lexicographic rank)
 
 PermStats = tuple[tuple[int, ...], int, int, int]
 
 
-@lru_cache(maxsize=None)
-def _perm_keys(n: int) -> tuple[dict[bytes, int], tuple[PermStats, ...]]:
-    """Key every permutation of S_n by (cycle type, valid-cut mask,
-    largest separated prefix, largest fixed prefix), all read off one
-    cycle walk.
+def _cycle_types(n: int) -> tuple[tuple[int, ...], ...]:
+    """The cycle types of S_n, indexed by type id.  Both census passes
+    start here, so n above ``HARD_CAP``, where a code would not fit one
+    byte, is refused before any table is built."""
+    if n > HARD_CAP:
+        raise ValueError(f"census at n={n} exceeds the hard maximum {HARD_CAP}")
+    return tuple(lam.parts for lam in partitions_of(n))
 
-    Returns the map from ``bytes`` image to key and the reverse table
-    from key to those statistics.
-    """
-    key_of: dict[bytes, int] = {}
-    index: dict[PermStats, int] = {}
+
+@lru_cache(maxsize=None)
+def _ranked(n: int) -> tuple[tuple[PermStats, ...], bytes, tuple[int, ...]]:
+    """By lexicographic rank of the arrangements of range(n): the
+    (cycle type, valid-cut mask, largest separated prefix, largest fixed
+    prefix) read off one cycle walk, interned; the cycle-type id as one
+    byte.  Then the ranks of the n-cycles, the horizontals."""
+    type_id = {lam: t for t, lam in enumerate(_cycle_types(n))}
+    interned: dict[PermStats, PermStats] = {}
+    by_rank = []
     for p in _all_arrangements(range(n)):
         cycles = cycles0(p)
         stats = (cycle_type0(cycles), valid_cut_mask(cycles),
                  separated_prefix(cycles), fixed_prefix(cycles))
-        key_of[bytes(p)] = index.setdefault(stats, len(index))
-    return key_of, tuple(index)
+        by_rank.append(interned.setdefault(stats, stats))
+    types = bytes(type_id[lam] for lam, _, _, _ in by_rank)
+    ncycle = type_id[(n,)]
+    return tuple(by_rank), types, tuple(r for r, t in enumerate(types) if t == ncycle)
 
 
 def _adjacent_swaps(n: int) -> bytes:
@@ -143,7 +150,7 @@ def _adjacent_swaps(n: int) -> bytes:
 
 
 def _swap_ranks(n: int, i: int, ranks: tuple[int, ...]) -> tuple[int, ...]:
-    """Entry r: the rank, in the lexicographic order of ``_perm_keys``,
+    """Entry r: the rank, in the lexicographic order of ``_ranked``,
     of arrangement r with places i and i+1 swapped, as the entry of
     ``ranks`` (``tuple(range(n!))``) at that rank, so that every table
     built from one ``ranks`` shares its int objects.
@@ -197,31 +204,12 @@ def _diagonal_walk(
 _FLUSH = 8192
 
 
-def _check_byte_codes(n: int, codes: int, what: str) -> None:
-    """Refuse, before any table is built, a census whose codes do not
-    fit one byte."""
-    if codes > 256:
-        raise ValueError(f"{what} at n={n} need {codes} byte codes, above the limit of 256")
-
-
 def _tally(buf: bytearray, counts: list[int]) -> None:
     """Add the number of bytes of value v in ``buf`` to ``counts[v]``, for
     every v below ``len(counts)``, and empty ``buf``."""
     for v in range(len(counts)):
         counts[v] += buf.count(v)
     buf.clear()
-
-
-def _ranked(n: int, lams: tuple[tuple[int, ...], ...]) -> tuple[list[PermStats], bytes, tuple[int, ...]]:
-    """By rank, in the order of ``_perm_keys``: the statistics of each
-    arrangement, and the id of its cycle type (its index in ``lams``) as
-    one byte; then the ranks of the n-cycles, the horizontals."""
-    key_of, decode = _perm_keys(n)
-    by_rank = [decode[key] for key in key_of.values()]
-    type_id = {lam: t for t, lam in enumerate(lams)}
-    types = bytes(type_id[lam] for lam, _, _, _ in by_rank)
-    ncycle = lams.index((n,))
-    return by_rank, types, tuple(r for r, t in enumerate(types) if t == ncycle)
 
 
 def _slots(classes: Iterable[Hashable], size: int) -> tuple[dict, list[tuple[bytearray, list[int]]]]:
@@ -252,9 +240,8 @@ def _pair_pass(n: int) -> tuple[dict[CensusKey, int], dict[int, int]]:
     into the alpha buffer too.  Every pair's code is counted; q and pi
     share their class, which depends on the cycles as point sets only.
     """
-    lams = tuple(lam.parts for lam in partitions_of(n))
-    _check_byte_codes(n, max(len(lams), 1 << (n - 1)), "census codes")
-    by_rank, types, horizontals = _ranked(n, lams)
+    lams = _cycle_types(n)
+    by_rank, types, horizontals = _ranked(n)
     masks = bytes(mask for _, mask, _, _ in by_rank)
     slots, slot_of = _slots(((mu, smax, imax) for mu, _, smax, imax in by_rank), len(lams))
     ncycle = lams.index((n,))
@@ -313,16 +300,16 @@ def _census_stratified(n: int) -> dict[StratifiedKey, int]:
     and i+1, from byte tables built once per pass.  A pair's code is its
     diagonal's type id + width * exceedances (width: the number of cycle
     types), counted in the buffer of the vertical's (cycle count,
-    prefix); the codes must fit one byte, which n = 9 exceeds.
+    prefix).
     """
-    lams = tuple(lam.parts for lam in partitions_of(n))
+    lams = _cycle_types(n)
     width = len(lams)
+    by_rank, types, horizontals = _ranked(n)
     # at most n - 1 exceedances, so every code is below width * n
-    _check_byte_codes(n, width * n, "stratified census codes")
-    by_rank, types, horizontals = _ranked(n, lams)
     slots, slot_of = _slots(((len(mu), smax) for mu, _, smax, _ in by_rank), width * n)
-    images = tuple(_perm_keys(n)[0])
-    places = [inverse0(cycles0(images[r])[0]) for r in horizontals]  # pos, per horizontal
+    ncycle = types[horizontals[0]]
+    places = [inverse0(cycles0(p)[0])  # pos, per horizontal
+              for p, t in zip(_all_arrangements(range(n)), types) if t == ncycle]
     # rise[i][x], one byte per horizontal: width * (1 + the change of
     # [pos[x] < pos[pi(x)]] as pi(x) moves from i to i+1); a step adds
     # rise[i][q[i]] - rise[i][q[i+1]], in which the offsets cancel
@@ -359,59 +346,53 @@ def _stratified_index(n: int) -> dict[tuple[tuple[int, ...], int], tuple[tuple[i
 
 
 @lru_cache(maxsize=None)
-def _census_index(n: int) -> dict[tuple[int, ...], tuple[tuple[tuple[int, ...], int, int, int], ...]]:
-    """The census grouped by diagonal type: lam -> ((mu, smax, imax, count), ...)."""
+def _census_index(n: int) -> dict[tuple[int, ...], tuple[tuple[tuple[int, ...], int, int, int, int], ...]]:
+    """The census grouped by diagonal type: lam -> ((mu, len(mu), smax, imax, count), ...)."""
     index: dict[tuple[int, ...], list] = {}
     for (lam, mu, smax, imax), cnt in _census(n).items():
-        index.setdefault(lam, []).append((mu, smax, imax, cnt))
+        index.setdefault(lam, []).append((mu, len(mu), smax, imax, cnt))
     return {lam: tuple(rows) for lam, rows in index.items()}
 
 
-def _rows(lam: IntegerPartition) -> tuple[tuple[tuple[int, ...], int, int, int], ...]:
-    return _census_index(lam.n).get(lam.parts, ())
+_TYPE, _CYCLES, _SEPARATED, _FIXED, _COUNT = range(5)  # the columns of a _census_index row
 
 
 # ---------------------------------------------------------------------------
 # public queries
 
+def _pairs(lam: IntegerPartition, m: int, cap: int | None, column: int, want, prefix: int) -> int:
+    """Pairs with diagonal type lam whose vertical has ``want`` in census
+    ``column`` (``_TYPE`` or ``_CYCLES``) and a ``prefix`` of at least m."""
+    _check_cap(lam.n, cap)
+    _check_m(lam.n, m)
+    rows = _census_index(lam.n).get(lam.parts, ())
+    return sum(row[_COUNT] for row in rows if row[column] == want and row[prefix] >= m)
+
+
 def oracle_p(lam: IntegerPartition, m: int, k: int, cap: int | None = None) -> int:
     """Pairs (s, pi), s an n-cycle, with diagonal s*pi^-1 of cycle type
     lam, pi having k cycles and 1..m in distinct cycles of pi.
     """
-    n = lam.n
-    _check_cap(n, cap)
-    _check_m(n, m)
-    return sum(cnt for mu, smax, _, cnt in _rows(lam) if len(mu) == k and smax >= m)
+    return _pairs(lam, m, cap, _CYCLES, k, _SEPARATED)
 
 
 def oracle_i(lam: IntegerPartition, m: int, k: int, cap: int | None = None) -> int:
     """As :func:`oracle_p` but with 1..m required to be fixed points."""
-    n = lam.n
-    _check_cap(n, cap)
-    _check_m(n, m)
-    return sum(cnt for mu, _, imax, cnt in _rows(lam) if len(mu) == k and imax >= m)
+    return _pairs(lam, m, cap, _CYCLES, k, _FIXED)
 
 
 def oracle_p_by_vertical_type(
     lam: IntegerPartition, mu: IntegerPartition, m: int, cap: int | None = None
 ) -> int:
     """Separation count restricted to verticals of exact cycle type mu."""
-    n = lam.n
-    _check_cap(n, cap)
-    _check_m(n, m)
-    v_target = mu.parts
-    return sum(cnt for v, smax, _, cnt in _rows(lam) if v == v_target and smax >= m)
+    return _pairs(lam, m, cap, _TYPE, mu.parts, _SEPARATED)
 
 
 def oracle_i_by_vertical_type(
     lam: IntegerPartition, mu: IntegerPartition, m: int, cap: int | None = None
 ) -> int:
     """Isolation count restricted to verticals of exact cycle type mu."""
-    n = lam.n
-    _check_cap(n, cap)
-    _check_m(n, m)
-    v_target = mu.parts
-    return sum(cnt for v, _, imax, cnt in _rows(lam) if v == v_target and imax >= m)
+    return _pairs(lam, m, cap, _TYPE, mu.parts, _FIXED)
 
 
 def oracle_p_stratified(
@@ -438,7 +419,7 @@ def oracle_fixed_point_distribution(n: int, cap: int | None = None) -> dict[int,
     """
     _check_cap(n, cap)
     out: dict[int, int] = {}
-    for mu, _, _, cnt in _census_index(n).get((n,), ()):
+    for mu, _, _, _, cnt in _census_index(n).get((n,), ()):
         fixed = mu.count(1)
         out[fixed] = out.get(fixed, 0) + cnt
     return dict(sorted(out.items(), reverse=True))

@@ -15,7 +15,8 @@ from typing import Iterable, Iterator
 
 
 class PartitionParseError(ValueError):
-    """Malformed partition/composition text; carries the failing offset."""
+    """Malformed partition, composition or permutation text; carries the
+    failing offset."""
 
     def __init__(self, text: str, position: int, message: str):
         super().__init__(f"{message} at position {position} in {text!r}")
@@ -144,12 +145,22 @@ class Composition:
 
 
 def _parse_int_list(text: str, sep: str) -> tuple[int, ...]:
-    """Positive integers joined by ``sep``.  Whitespace may stand on either
-    side of a separator and between two numbers (``"3 1"`` reads as
-    ``"3+1"``); an error carries the offset of the offending character.
+    """Positive integers joined by ``sep``, as read by :func:`scan_ints`."""
+    numbers = scan_ints(text, sep)
+    for start, value in numbers:
+        if value < 1:
+            raise PartitionParseError(text, start, "parts must be positive")
+    return tuple(value for _, value in numbers)
+
+
+def scan_ints(text: str, sep: str, pos: int = 0, end: int | None = None) -> list[tuple[int, int]]:
+    """The decimal numbers joined by ``sep`` in ``text[pos:end]``, each with
+    its offset.  Whitespace may stand on either side of a separator and
+    between two numbers (``"3 1"`` reads as ``"3+1"``); an error carries
+    the offset in ``text`` of the offending character.
     """
-    parts = []
-    pos, end = 0, len(text)
+    numbers = []
+    end = len(text) if end is None else end
     while True:
         while pos < end and text[pos].isspace():
             pos += 1
@@ -160,14 +171,11 @@ def _parse_int_list(text: str, sep: str) -> tuple[int, ...]:
             if pos < end and text[pos] != sep:
                 raise PartitionParseError(text, pos, f"unexpected character {text[pos]!r}")
             raise PartitionParseError(text, pos, "expected a number")
-        value = int(text[start:pos])
-        if value < 1:
-            raise PartitionParseError(text, start, "parts must be positive")
-        parts.append(value)
+        numbers.append((start, int(text[start:pos])))
         while pos < end and text[pos].isspace():
             pos += 1
         if pos == end:
-            return tuple(parts)
+            return numbers
         if text[pos] == sep:
             pos += 1
         elif not text[pos].isdecimal():

@@ -27,7 +27,7 @@ from functools import cached_property
 from itertools import permutations as _all_arrangements
 from typing import Iterable, Iterator, Sequence
 
-from .partitions import IntegerPartition, int_tuple
+from .partitions import IntegerPartition, PartitionParseError, int_tuple, scan_ints
 
 
 # ---------------------------------------------------------------------------
@@ -276,30 +276,29 @@ def enumerate_n_cycles(n: int) -> Iterator[Permutation]:
 
 
 def parse_permutation(text: str, n: int | None = None) -> Permutation:
-    """Parse cycle form ``(1 3)(2)`` or one-line form ``3,2,1``."""
-    stripped = text.strip()
-    if not stripped:
+    """Parse cycle form ``(1 3)(2)`` or one-line form ``3,2,1``; numbers
+    are separated by a comma or by whitespace.  Malformed text raises
+    :class:`PartitionParseError` (a ``ValueError``) with the offset of the
+    offending character in ``text``.
+    """
+    pos, end = len(text) - len(text.lstrip()), len(text.rstrip())
+    if pos == end:
         raise ValueError("empty permutation text")
-    if stripped.startswith("("):
-        cycles = []
-        pos = 0
-        while pos < len(stripped):
-            ch = stripped[pos]
-            if ch.isspace():
-                pos += 1
-                continue
-            if ch != "(":
-                raise ValueError(f"expected '(' at position {pos} in {text!r}")
-            close = stripped.find(")", pos)
-            if close < 0:
-                raise ValueError(f"unclosed cycle at position {pos} in {text!r}")
-            body = stripped[pos + 1:close].replace(",", " ").split()
-            if not body:
-                raise ValueError(f"empty cycle at position {pos} in {text!r}")
-            cycles.append(tuple(int(tok) for tok in body))
-            pos = close + 1
-        return Permutation.from_cycles(cycles, n=n)
-    images = tuple(int(tok) for tok in stripped.replace(",", " ").split())
-    if n is not None and len(images) != n:
-        raise ValueError(f"expected {n} images, got {len(images)}")
-    return Permutation(images)
+    if text[pos] != "(":
+        images = tuple(value for _, value in scan_ints(text, ",", pos, end))
+        if n is not None and len(images) != n:
+            raise ValueError(f"expected {n} images, got {len(images)}")
+        return Permutation(images)
+    cycles = []
+    while pos < end:
+        if text[pos].isspace():
+            pos += 1
+            continue
+        if text[pos] != "(":
+            raise PartitionParseError(text, pos, "expected '('")
+        close = text.find(")", pos, end)
+        if close < 0:
+            raise PartitionParseError(text, pos, "unclosed cycle")
+        cycles.append(tuple(value for _, value in scan_ints(text, ",", pos + 1, close)))
+        pos = close + 1
+    return Permutation.from_cycles(cycles, n=n)

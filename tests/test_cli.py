@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from sepcycles import cli, counting
+from sepcycles.oracle import HARD_CAP
 from sepcycles.partitions import IntegerPartition
 
 
@@ -77,12 +78,30 @@ def test_count_lambda_quantities(capsys, refuse_census):
     # a raised cap never turns the recurrence into enumeration
     records = run_json(
         capsys, "count", "p-lambda", "--lambda", "9", "--m", "1", "--k", "all",
-        "--cap", "9",
+        "--cap", "8",
     )
     assert [r["value"] for r in records] == [
         str(counting.p_ncycle(9, 1, k)) for k in range(1, 10)
     ]
     assert {r["source"] for r in records} == {"recurrence"}
+
+
+@pytest.mark.parametrize("m", ["4", "5"])
+def test_count_i_ncycle_domain_independent_of_source(capsys, m):
+    # i_ncycle divides by n - m: m = n is outside the quantity, and the
+    # enumeration, which could count it, refuses it the same way
+    errors = set()
+    for source in ("formula", "oracle"):
+        code, out, err = run_cli(capsys, "count", "i-ncycle", "--n", "4", "--m", m,
+                                 "--k", "all", "--source", source)
+        assert code == 2
+        assert out == ""
+        errors.add(err)
+    assert errors == {f"error: m must satisfy 0 <= m < n, got m={m}, n=4\n"}
+    # m = n stays a valid query for the general diagonal type (4)
+    records = run_json(capsys, "count", "i-lambda", "--lambda", "4", "--m", "4",
+                       "--k", "all", "--source", "oracle")
+    assert [r["value"] for r in records] == ["0", "0", "0", "6"]
 
 
 def test_count_oracle_source(capsys, refuse_census):
@@ -190,11 +209,12 @@ def test_out_file(tmp_path, capsys):
 @pytest.mark.parametrize("quantity", ["p-lambda", "p-ncycle"])
 def test_cap_above_hard_maximum_rejected(tmp_path, capsys, quantity):
     which = ["--lambda", "4"] if quantity == "p-lambda" else ["--n", "4"]
-    code, out, err = run_cli(capsys, "count", quantity, *which, "--m", "0", "--k", "2",
-                             "--cap", "12")
-    assert code == 2
-    assert "cap 12 exceeds the hard maximum 9" in err
-    assert out == ""
+    for cap in (HARD_CAP + 1, 12):
+        code, out, err = run_cli(capsys, "count", quantity, *which, "--m", "0", "--k", "2",
+                                 "--cap", str(cap))
+        assert code == 2
+        assert f"cap {cap} exceeds the hard maximum {HARD_CAP}" in err
+        assert out == ""
     # a cap below 1 would refuse every n: every command rejects it up front
     config = tmp_path / "sepcycles.cfg"
     config.write_text("oracle_cap = 0\n")

@@ -80,9 +80,10 @@ def test_census_determinism():
 
 
 def test_each_permutation_walked_once(monkeypatch):
-    # the keyed table is the only walk over S_n: the census reads both the
-    # diagonals and the verticals off it, and the stratified census reuses
-    # it, walking only each horizontal once more for its sequence order
+    # the per-rank table is the only walk over S_n: the census reads both
+    # the diagonals and the verticals off it, and the stratified census
+    # reuses it, walking only each horizontal once more for its sequence
+    # order
     walks = []
     real = oracle_module.cycles0
 
@@ -91,7 +92,7 @@ def test_each_permutation_walked_once(monkeypatch):
         return real(images)
 
     monkeypatch.setattr(oracle_module, "cycles0", counted)
-    for name in ("_perm_keys", "_pair_pass", "_census", "_census_stratified"):
+    for name in ("_ranked", "_pair_pass", "_census", "_census_stratified"):
         fresh = lru_cache(maxsize=None)(getattr(oracle_module, name).__wrapped__)
         monkeypatch.setattr(oracle_module, name, fresh)
     oracle_module._census(6)
@@ -114,7 +115,7 @@ def test_adjacent_swaps_visit_every_arrangement_once(n):
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_swap_ranks_follow_the_swapped_arrangement(n):
-    arrangements = list(permutations(range(n)))  # the order of _perm_keys
+    arrangements = list(permutations(range(n)))  # the order of _ranked
     rank = {p: r for r, p in enumerate(arrangements)}
     for i in range(n - 1):
         table = _swap_ranks(n, i, tuple(range(factorial(n))))
@@ -150,24 +151,24 @@ def test_stratified_census_n6_pinned():
 
 
 def test_census_codes_fit_one_byte_up_to_the_hard_cap():
-    # pair-pass codes: a diagonal's cycle-type id and its cut mask
     for n in range(1, HARD_CAP + 1):
+        # pair-pass codes: a diagonal's cycle-type id and its cut mask
         assert len(partitions_of(n)) <= 256
         assert 1 << (n - 1) <= 256
+        # stratified codes: type id + width * exceedances, at most n - 1
+        assert len(partitions_of(n)) * n <= 256
 
 
-def test_byte_code_limits_refuse_before_any_table(monkeypatch):
+def test_census_passes_refuse_past_the_hard_cap_before_any_table(monkeypatch):
     def refused(*args):
-        raise AssertionError("a table was built for a census that cannot be counted")
+        raise AssertionError("a table was built for a census past the hard maximum")
 
-    monkeypatch.setattr(oracle_module, "_perm_keys", refused)
+    monkeypatch.setattr(oracle_module, "_ranked", refused)
     monkeypatch.setattr(oracle_module, "_swap_ranks", refused)
-    # type id + width * exceedances: 30 types * 9 > 256
-    with pytest.raises(ValueError, match="270 byte codes, above the limit of 256"):
-        _census_stratified.__wrapped__(9)
-    # cut masks at n = 10 take 2^9 values
-    with pytest.raises(ValueError, match="512 byte codes, above the limit of 256"):
-        _pair_pass.__wrapped__(10)
+    message = f"census at n={HARD_CAP + 1} exceeds the hard maximum {HARD_CAP}"
+    for census_pass in (_pair_pass, _census_stratified):
+        with pytest.raises(ValueError, match=message):
+            census_pass.__wrapped__(HARD_CAP + 1)
 
 
 # Reference enumerations: one tuple per pair, cycle types and cut masks

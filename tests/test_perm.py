@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+from sepcycles.partitions import PartitionParseError
 from sepcycles.perm import (
     Permutation,
     compose,
@@ -259,3 +260,26 @@ def test_text_round_trips():
         parse_permutation("(1 3)")  # 2 missing, n not given
     with pytest.raises(ValueError):
         parse_permutation("")
+    # a comma or whitespace separates numbers, with whitespace around a comma
+    for text in ("5,4,1,3,6,2", "5 4 1 3 6 2", " 5, 4 ,1,3,6,2 "):
+        assert parse_permutation(text) == p, text
+    assert parse_permutation(" (1,3, 6) (2 5 4)").cycles() == ((1, 3, 6), (2, 5, 4))
+
+
+@pytest.mark.parametrize("text, position", [
+    ("1, 2,,3", 5),   # an empty entry is an error, not dropped
+    ("(1,,2)", 3),
+    ("1,2,3,", 6),
+    ("1,2,x", 4),
+    ("(1 a)(2)", 3),
+    ("(1 2 (3)", 5),
+    ("(1 2)x", 5),
+    ("()", 1),
+    (" (1 3", 1),      # the offset is in the text as given
+])
+def test_parse_permutation_errors_carry_position(text, position):
+    with pytest.raises(PartitionParseError) as info:
+        parse_permutation(text)
+    assert info.value.position == position
+    assert info.value.text == text
+    assert f"at position {position} in {text!r}" in str(info.value)
