@@ -214,9 +214,17 @@ def _run_count(args, cap) -> list[dict]:
                                    value, "closed_form", started))
         return records
 
-    if q == "i-ncycle" and not 0 <= args.m < n:
-        # the closed form's domain (it divides by n - m), whichever source answers
-        raise ValueError(f"m must satisfy 0 <= m < n, got m={args.m}, n={n}")
+    if q in ("p-ncycle", "i-ncycle", "p-lambda", "i-lambda"):
+        # the formula's domain, in its order (m, then k), whichever source
+        # answers: i_ncycle divides by n - m, and the enumeration, which
+        # counts any k, would answer 0 outside 1 <= k <= n
+        if q == "i-ncycle" and not 0 <= args.m < n:
+            raise ValueError(f"m must satisfy 0 <= m < n, got m={args.m}, n={n}")
+        if not 0 <= args.m <= n:
+            raise ValueError(f"m must satisfy 0 <= m <= {n}, got {args.m}")
+        for k in ks:
+            if not 1 <= k <= n:
+                raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
     # quantity -> (formula, the source it reports, enumeration or None), each
     # called as f(lam, m, k); lam is the n-cycle type (n) unless --lambda
     # gives it.  Enumeration runs only on --source oracle, which is refused

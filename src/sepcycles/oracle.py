@@ -9,38 +9,42 @@ the largest prefixes of [n] that pi separates / fixes.
 One unsliced, cached pass per n visits every one of the (n-1)! * n!
 pairs; there is no conjugacy-class or other symmetry shortcut, so the
 census stays an independent check.  Each permutation of S_n is walked
-once, into a table cached per n that holds its statistics by rank.  The
-pass walks pi^-1 through S_n by adjacent swaps
-(Steinhaus-Johnson-Trotter order) and holds the ranks of its (n-1)!
+once, into a table cached per n that holds its statistics by census id;
+each cycle type owns whole pages of 256 ids, so an id's high byte names
+its type.  The pass walks pi^-1 through S_n by adjacent swaps
+(Steinhaus-Johnson-Trotter order) and holds the ids of its (n-1)!
 diagonals, one per horizontal; a swap moves every diagonal to a known
-rank, so each step gathers the next ranks from a table built once per
-pass.  Each pair then adds one byte, its diagonal's cycle-type id, to a
-buffer for the vertical's class (cycle type and prefixes, read off the
-per-rank table); a full buffer is counted value by value and emptied, so
-every pair is counted and the memory stays flat.  The verticals that are
-n-cycles give exactly the products of two n-cycles, so the alpha
-(block-separation) census is counted on their slice of the same pass,
-one byte per pair for the diagonal's cut mask.  The
-exceedance-stratified census takes the same walk with one byte per pair
-for (diagonal type, exceedances), keeping every horizontal's exceedance
-count up to date as the vertical moves.  Queries read the cached
-censuses through indexes.  Cycle walks and inverses come from the
-0-based kernel in :mod:`sepcycles.perm`; the oracle imports nothing else
-from the package but :mod:`sepcycles.partitions`, and never the counting
-it checks.
+id, so each step gathers the next ids from a table built once per pass
+and reads their type ids off their pages.  Each pair then adds one byte,
+its diagonal's type id, to a buffer for the vertical's class (cycle type
+and prefixes).  A full buffer is counted over the type ids of the parity
+its class allows (sign(s * pi^-1) = sign(s) sign(pi)) and emptied; any
+other byte raises :class:`ArithmeticError`, so every pair is counted and
+the memory stays flat.  The verticals that are n-cycles give exactly the
+products of two n-cycles, so the alpha (block-separation) census is
+counted on their slice of the same pass, one byte per pair for the
+diagonal's cut mask.  The exceedance-stratified census takes the same
+walk with one byte per pair for (diagonal type, exceedances), keeping
+every horizontal's exceedance count up to date as the vertical moves.
+Queries read the cached censuses through indexes.  Cycle walks and
+inverses come from the 0-based kernel in :mod:`sepcycles.perm`; the
+oracle imports nothing else from the package but
+:mod:`sepcycles.partitions`, and never the counting it checks.
 
 The enumeration is exact or it refuses: queries above the configured cap
-(default 7, hard maximum 8, where every census code fits one byte)
-raise :class:`OracleCapError`, and a census pass above the hard maximum
-raises :class:`ValueError` before building anything.  No sampling.
+(default 7, hard maximum 8, where every census code fits one byte and
+every id 16 bits) raise :class:`OracleCapError`, and a census pass
+above the hard maximum raises :class:`ValueError` before building
+anything.  No sampling.
 """
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, cycle, repeat
+from itertools import chain, count, cycle, repeat
 from itertools import permutations as _all_arrangements
 from math import factorial
 from operator import add, itemgetter, sub
+from struct import Struct
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .partitions import Composition, IntegerPartition, partitions_of
@@ -91,37 +95,49 @@ def _check_cap(n: int, cap: int | None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# internal enumeration (0-based arrangements of range(n), by lexicographic rank)
+# internal enumeration (0-based arrangements of range(n), by census id)
 
 PermStats = tuple[tuple[int, ...], int, int, int]
 
 
 def _cycle_types(n: int) -> tuple[tuple[int, ...], ...]:
-    """The cycle types of S_n, indexed by type id.  Both census passes
-    start here, so n above ``HARD_CAP``, where a code would not fit one
-    byte, is refused before any table is built."""
+    """The cycle types of S_n, indexed by type id, (n,) first.  Both census
+    passes start here, so n above ``HARD_CAP``, where a code would not fit
+    one byte, is refused before any table is built."""
     if n > HARD_CAP:
         raise ValueError(f"census at n={n} exceeds the hard maximum {HARD_CAP}")
     return tuple(lam.parts for lam in partitions_of(n))
 
 
 @lru_cache(maxsize=None)
-def _ranked(n: int) -> tuple[tuple[PermStats, ...], bytes, tuple[int, ...]]:
-    """By lexicographic rank of the arrangements of range(n): the
-    (cycle type, valid-cut mask, largest separated prefix, largest fixed
-    prefix) read off one cycle walk, interned; the cycle-type id as one
-    byte.  Then the ranks of the n-cycles, the horizontals."""
+def _ranked(n: int) -> tuple[tuple[PermStats, ...], bytes, tuple[int, ...], bytes]:
+    """S_n in census ids: each cycle type fills whole pages of 256 ids in
+    lexicographic order, its last arrangement padding its last page.  By
+    id: (cycle type, valid-cut mask, largest separated prefix, largest
+    fixed prefix), read off one cycle walk, interned.  Then the page ->
+    type id table for ``bytes.translate`` (255, a code no class counts,
+    past the last page); the horizontals (n-cycles), ids 0 to (n-1)! - 1;
+    and the id of each lexicographic rank as 16-bit words."""
     type_id = {lam: t for t, lam in enumerate(_cycle_types(n))}
     interned: dict[PermStats, PermStats] = {}
-    by_rank = []
+    members: list[list[PermStats]] = [[] for _ in type_id]  # per type id, in order
+    types = bytearray()  # by rank
     for p in _all_arrangements(range(n)):
         cycles = cycles0(p)
         stats = (cycle_type0(cycles), valid_cut_mask(cycles),
                  separated_prefix(cycles), fixed_prefix(cycles))
-        by_rank.append(interned.setdefault(stats, stats))
-    types = bytes(type_id[lam] for lam, _, _, _ in by_rank)
-    ncycle = type_id[(n,)]
-    return tuple(by_rank), types, tuple(r for r, t in enumerate(types) if t == ncycle)
+        types.append(type_id[stats[0]])
+        members[types[-1]].append(interned.setdefault(stats, stats))
+    by_id = tuple(chain.from_iterable(m + m[-1:] * (-len(m) % 256) for m in members))
+    page_type = bytes(type_id[lam] for lam, _, _, _ in by_id[::256]).ljust(256, b"\xff")
+    next_id = [count(256 * page_type.index(t)) for t in range(len(members))]
+    ids = Struct(f"<{len(types)}H").pack(*map(next, map(next_id.__getitem__, types)))
+    return by_id, page_type, tuple(range(len(members[0]))), ids  # type id 0 is (n,)
+
+
+def _ids_by_rank(n: int) -> tuple[int, ...]:
+    """The census id of each lexicographic rank, unpacked from :func:`_ranked`."""
+    return Struct(f"<{factorial(n)}H").unpack(_ranked(n)[3])
 
 
 def _adjacent_swaps(n: int) -> bytes:
@@ -149,11 +165,11 @@ def _adjacent_swaps(n: int) -> bytes:
     return swaps
 
 
-def _swap_ranks(n: int, i: int, ranks: tuple[int, ...]) -> tuple[int, ...]:
-    """Entry r: the rank, in the lexicographic order of ``_ranked``,
-    of arrangement r with places i and i+1 swapped, as the entry of
-    ``ranks`` (``tuple(range(n!))``) at that rank, so that every table
-    built from one ``ranks`` shares its int objects.
+def _swap_ranks(n: int, i: int, labels: Sequence[int]) -> tuple[int, ...]:
+    """Entry r: the label of the lexicographic rank of arrangement r with
+    places i and i+1 swapped, ``labels`` holding one label per rank
+    (``tuple(range(n!))`` for the rank itself), so that every table built
+    from one ``labels`` shares its int objects.
 
     Rank r has Lehmer digits c_j (the number of later entries smaller
     than entry j) of weight (n-1-j)!.  The swap changes only digits (a, b) = (c_i, c_{i+1}): to
@@ -169,32 +185,50 @@ def _swap_ranks(n: int, i: int, ranks: tuple[int, ...]) -> tuple[int, ...]:
             new_a, new_b = (b + 1, a) if a <= b else (b, a - 1)
             steps.append((new_a - a) * high + (new_b - b) * low)
     period = chain.from_iterable(repeat(step, low) for step in steps)
-    return tuple(map(ranks.__getitem__, map(add, range(len(ranks)), cycle(period))))
+    return tuple(map(labels.__getitem__, map(add, range(len(labels)), cycle(period))))
 
 
-def _diagonal_walk(
-    n: int, horizontals: tuple[int, ...]
-) -> Iterator[tuple[int | None, int, Callable[[Sequence], tuple]]]:
+def _swap_ids(n: int, i: int, id_of: tuple[int, ...], size: int) -> list[int]:
+    """:func:`_swap_ranks` relabelled by census id, 0 at unused ids."""
+    table = [0] * size
+    for j, swapped in zip(id_of, _swap_ranks(n, i, id_of)):
+        table[j] = swapped
+    return table
+
+
+def _diagonal_walk(n: int) -> Iterator[tuple[int | None, int, bytes, Callable[[Sequence], tuple]]]:
     """Walk q = pi^-1 through S_n by adjacent swaps (:func:`_adjacent_swaps`).
 
     Yields, per q: the place i whose swap with i+1 reached it (None for
-    the identity, where the walk starts), the rank of q, and an
-    ``itemgetter`` of the ranks of the diagonals s * q, one per
-    horizontal s, in the order of ``horizontals`` (their ranks).
-    Swapping places i, i+1 of q sends every diagonal d to d * (i i+1), so
-    the next ranks are one gather, through the current getter, of a swap
-    table built once per walk.
+    the identity, where the walk starts), the census id of q, and the
+    diagonals s * q, one per horizontal s in the order of their ids: their
+    type ids as bytes, and an ``itemgetter`` of their ids.  Swapping places
+    i, i+1 of q sends every diagonal d to d * (i i+1), so the next ids are
+    one gather, through the current getter, of a swap table built once per
+    walk; their types are their pages, the high bytes of the ids packed as
+    16-bit little-endian words.
     """
-    ranks = tuple(range(factorial(n)))
-    ranks_at = [_swap_ranks(n, i, ranks) for i in range(n - 1)]
+    by_id, page_type, horizontals, _ = _ranked(n)
+    id_of = _ids_by_rank(n)
+    ids_at = [_swap_ids(n, i, id_of, len(by_id)) for i in range(n - 1)]
     # itemgetter with one index returns the item, not a 1-tuple (n <= 2)
     gather = itemgetter if len(horizontals) > 1 else (lambda r: lambda table: (table[r],))
-    q, diagonals = 0, gather(*horizontals)
-    yield None, q, diagonals
+    pack = Struct(f"<{len(horizontals)}H").pack
+    q, diagonals = id_of[0], gather(*horizontals)
+    yield None, q, pack(*horizontals)[1::2].translate(page_type), diagonals
     for i in _adjacent_swaps(n):
-        q = ranks_at[i][q]
-        diagonals = gather(*diagonals(ranks_at[i]))
-        yield i, q, diagonals
+        q = ids_at[i][q]
+        ids = diagonals(ids_at[i])
+        diagonals = gather(*ids)
+        yield i, q, pack(*ids)[1::2].translate(page_type), diagonals
+
+
+def _parity_codes(n: int, lams: Sequence[tuple[int, ...]], levels: int) -> list[list[int]]:
+    """By the parity of pi's cycle count k, the codes t + len(lams) * a
+    (a < levels) with t a type id that s * pi^-1 can have: sign(s * pi^-1)
+    = sign(s) sign(pi), s an n-cycle, so its cycle count is n + 1 - k mod 2."""
+    return [[t + len(lams) * a for a in range(levels) for t, lam in enumerate(lams)
+             if (len(lam) + k + n) % 2] for k in (0, 1)]
 
 
 # Census codes are single bytes, one per pair, appended to a buffer per
@@ -204,19 +238,24 @@ def _diagonal_walk(
 _FLUSH = 8192
 
 
-def _tally(buf: bytearray, counts: list[int]) -> None:
+def _tally(buf: bytearray, counts: list[int], codes: Sequence[int], key: Hashable) -> None:
     """Add the number of bytes of value v in ``buf`` to ``counts[v]``, for
-    every v below ``len(counts)``, and empty ``buf``."""
-    for v in range(len(counts)):
-        counts[v] += buf.count(v)
+    every v in ``codes``, and empty ``buf``; a byte of any other value
+    changes no count and raises :class:`ArithmeticError` naming ``key``."""
+    found = [buf.count(v) for v in codes]
+    stray = len(buf) - sum(found)
+    if stray:
+        raise ArithmeticError(f"census class {key!r}: {stray} bytes outside {codes}")
+    for v, cnt in zip(codes, found):
+        counts[v] += cnt
     buf.clear()
 
 
-def _slots(classes: Iterable[Hashable], size: int) -> tuple[dict, list[tuple[bytearray, list[int]]]]:
-    """One (buffer, counts) slot per distinct class, and per rank the slot
-    of its class."""
+def _slots(classes: Iterable[Hashable], size: int, codes: Callable) -> tuple[dict, list]:
+    """One (buffer, counts, codes, class) slot per distinct class, its
+    buffer holding only ``codes(class)``, and per id the slot of its class."""
     slots: dict = {}
-    return slots, [slots.setdefault(c, (bytearray(), [0] * size)) for c in classes]
+    return slots, [slots.setdefault(c, (bytearray(), [0] * size, codes(c), c)) for c in classes]
 
 
 CensusKey = tuple[tuple[int, ...], tuple[int, ...], int, int]
@@ -233,36 +272,38 @@ def _pair_pass(n: int) -> tuple[dict[CensusKey, int], dict[int, int]]:
     over the n-cycles so does pi^-1, so s * pi^-1 runs over all products
     of two n-cycles.
 
-    The pass follows :func:`_diagonal_walk`.  Per vertical it gathers
-    the (n-1)! diagonals' type ids from a byte table by rank and appends
-    them to the buffer of the vertical's class (cycle type, prefixes);
-    for an n-cycle vertical it gathers their cut masks (below 2^(n-1))
-    into the alpha buffer too.  Every pair's code is counted; q and pi
-    share their class, which depends on the cycles as point sets only.
+    The pass follows :func:`_diagonal_walk`.  Per vertical it appends the
+    (n-1)! diagonals' type ids to the buffer of the vertical's class
+    (cycle type, prefixes), counted over the :func:`_parity_codes` of
+    its cycle count; for an n-cycle vertical it gathers their cut masks
+    (below 2^(n-1)) from a byte table by id into the alpha buffer too.
+    Every pair's code is counted; q and pi share their class, which
+    depends on the cycles as point sets only.
     """
     lams = _cycle_types(n)
-    by_rank, types, horizontals = _ranked(n)
-    masks = bytes(mask for _, mask, _, _ in by_rank)
-    slots, slot_of = _slots(((mu, smax, imax) for mu, _, smax, imax in by_rank), len(lams))
-    ncycle = lams.index((n,))
-    alpha_buf, alpha_counts = bytearray(), [0] * (1 << (n - 1))
-    for _, q, diagonals in _diagonal_walk(n, horizontals):
-        buf, counts = slot_of[q]
-        buf += bytes(diagonals(types))
-        if len(buf) >= _FLUSH:
-            _tally(buf, counts)
-        if types[q] == ncycle:
-            alpha_buf += bytes(diagonals(masks))
-            if len(alpha_buf) >= _FLUSH:
-                _tally(alpha_buf, alpha_counts)
-    _tally(alpha_buf, alpha_counts)
+    by_id, _, horizontals, _ = _ranked(n)
+    masks = bytes(mask for _, mask, _, _ in by_id)
+    parity = _parity_codes(n, lams, 1)
+    slots, slot_of = _slots(((mu, smax, imax) for mu, _, smax, imax in by_id), len(lams),
+                            lambda c: parity[len(c[0]) % 2])
+    alpha = (bytearray(), [0] * (1 << (n - 1)), range(1 << (n - 1)), "alpha")
+    for _, q, codes, diagonals in _diagonal_walk(n):
+        slot = slot_of[q]
+        slot[0].extend(codes)
+        if len(slot[0]) >= _FLUSH:
+            _tally(*slot)
+        if q < len(horizontals):  # an n-cycle vertical
+            alpha[0].extend(diagonals(masks))
+            if len(alpha[0]) >= _FLUSH:
+                _tally(*alpha)
+    _tally(*alpha)
     census: dict[CensusKey, int] = {}
-    for (mu, smax, imax), (buf, counts) in slots.items():
-        _tally(buf, counts)
-        for t, cnt in enumerate(counts):
+    for (mu, smax, imax), slot in slots.items():
+        _tally(*slot)
+        for t, cnt in enumerate(slot[1]):
             if cnt:
                 census[(lams[t], mu, smax, imax)] = cnt
-    return census, {mask: cnt for mask, cnt in enumerate(alpha_counts) if cnt}
+    return census, {mask: cnt for mask, cnt in enumerate(alpha[1]) if cnt}
 
 
 # _census keeps a cache of its own so that it still reports its own cache
@@ -300,16 +341,18 @@ def _census_stratified(n: int) -> dict[StratifiedKey, int]:
     and i+1, from byte tables built once per pass.  A pair's code is its
     diagonal's type id + width * exceedances (width: the number of cycle
     types), counted in the buffer of the vertical's (cycle count,
-    prefix).
+    prefix) over the :func:`_parity_codes` of that cycle count.
     """
     lams = _cycle_types(n)
     width = len(lams)
-    by_rank, types, horizontals = _ranked(n)
+    by_id, _, horizontals, _ = _ranked(n)
     # at most n - 1 exceedances, so every code is below width * n
-    slots, slot_of = _slots(((len(mu), smax) for mu, _, smax, _ in by_rank), width * n)
-    ncycle = types[horizontals[0]]
-    places = [inverse0(cycles0(p)[0])  # pos, per horizontal
-              for p, t in zip(_all_arrangements(range(n)), types) if t == ncycle]
+    parity = _parity_codes(n, lams, n)
+    slots, slot_of = _slots(((len(mu), smax) for mu, _, smax, _ in by_id), width * n,
+                            lambda c: parity[c[0] % 2])
+    places = [inverse0(cycles0(p)[0])  # pos, per horizontal: the ids below (n-1)!
+              for p, j in zip(_all_arrangements(range(n)), _ids_by_rank(n))
+              if j < len(horizontals)]
     # rise[i][x], one byte per horizontal: width * (1 + the change of
     # [pos[x] < pos[pi(x)]] as pi(x) moves from i to i+1); a step adds
     # rise[i][q[i]] - rise[i][q[i+1]], in which the offsets cancel
@@ -317,19 +360,19 @@ def _census_stratified(n: int) -> dict[StratifiedKey, int]:
              for x in range(n)] for i in range(n - 1)]
     q = bytearray(range(n))
     exc = (0,) * len(horizontals)  # width * exceedances; pi = identity has none
-    for i, rank, diagonals in _diagonal_walk(n, horizontals):
+    for i, qid, codes, _ in _diagonal_walk(n):
         if i is not None:
             a, b = q[i], q[i + 1]
             q[i], q[i + 1] = b, a
             exc = tuple(map(sub, map(add, exc, rise[i][a]), rise[i][b]))
-        buf, counts = slot_of[rank]
-        buf += bytes(map(add, diagonals(types), exc))
-        if len(buf) >= _FLUSH:
-            _tally(buf, counts)
+        slot = slot_of[qid]
+        slot[0].extend(map(add, codes, exc))
+        if len(slot[0]) >= _FLUSH:
+            _tally(*slot)
     census: dict[StratifiedKey, int] = {}
-    for (k, smax), (buf, counts) in slots.items():
-        _tally(buf, counts)
-        for code, cnt in enumerate(counts):
+    for (k, smax), slot in slots.items():
+        _tally(*slot)
+        for code, cnt in enumerate(slot[1]):
             if cnt:
                 census[(lams[code % width], k, smax, code // width)] = cnt
     return census

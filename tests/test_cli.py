@@ -104,6 +104,24 @@ def test_count_i_ncycle_domain_independent_of_source(capsys, m):
     assert [r["value"] for r in records] == ["0", "0", "0", "6"]
 
 
+@pytest.mark.parametrize("k", ["0", "5"])
+@pytest.mark.parametrize("quantity, subject", [
+    ("p-ncycle", ["--n", "4"]), ("i-ncycle", ["--n", "4"]),
+    ("p-lambda", ["--lambda", "2+1+1"]), ("i-lambda", ["--lambda", "2+1+1"]),
+])
+def test_count_k_domain_independent_of_source(capsys, quantity, subject, k):
+    # k outside 1..n is refused with the formula's message; the enumeration,
+    # which counts any k, used to answer 0
+    errors = set()
+    for source in ("formula", "oracle"):
+        code, out, err = run_cli(capsys, "count", quantity, *subject, "--m", "1",
+                                 "--k", k, "--source", source)
+        assert code == 2
+        assert out == ""
+        errors.add(err)
+    assert errors == {f"error: k must satisfy 1 <= k <= 4, got {k}\n"}
+
+
 def test_count_oracle_source(capsys, refuse_census):
     record = run_json(
         capsys, "count", "p-ncycle", "--n", "4", "--m", "2", "--k", "2",

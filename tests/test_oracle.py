@@ -115,14 +115,23 @@ def test_adjacent_swaps_visit_every_arrangement_once(n):
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_swap_ranks_follow_the_swapped_arrangement(n):
-    arrangements = list(permutations(range(n)))  # the order of _ranked
+    arrangements = list(permutations(range(n)))  # lexicographic order
     rank = {p: r for r, p in enumerate(arrangements)}
-    for i in range(n - 1):
-        table = _swap_ranks(n, i, tuple(range(factorial(n))))
-        assert len(table) == factorial(n)
-        for r, p in enumerate(arrangements):
-            swapped = (*p[:i], p[i + 1], p[i], *p[i + 2:])
-            assert table[r] == rank[swapped]
+    ranked = oracle_module._ranked(n)
+    ids = oracle_module._ids_by_rank(n)
+    # the lexicographic tables, labelled by rank, and the walk's tables in
+    # census ids, labelled by each rank's id
+    ranks = tuple(range(factorial(n)))
+    for label, size, table_of in (
+        (ranks, factorial(n), lambda i: _swap_ranks(n, i, ranks)),
+        (ids, len(ranked[0]), lambda i: oracle_module._swap_ids(n, i, ids, len(ranked[0]))),
+    ):
+        for i in range(n - 1):
+            table = table_of(i)
+            assert len(table) == size
+            for r, p in enumerate(arrangements):
+                swapped = (*p[:i], p[i + 1], p[i], *p[i + 2:])
+                assert table[label[r]] == label[rank[swapped]]
 
 
 def test_census_n7_pinned():
@@ -157,6 +166,39 @@ def test_census_codes_fit_one_byte_up_to_the_hard_cap():
         assert 1 << (n - 1) <= 256
         # stratified codes: type id + width * exceedances, at most n - 1
         assert len(partitions_of(n)) * n <= 256
+
+
+def test_census_ids_fit_16_bits_in_type_pages_up_to_the_hard_cap():
+    for n in range(1, HARD_CAP + 1):
+        by_id, page_type, horizontals, _ = oracle_module._ranked(n)
+        ids = oracle_module._ids_by_rank(n)
+        pages = len(by_id) // 256
+        assert len(by_id) == 256 * pages and pages <= 256  # so every id is below 2^16
+        assert len(page_type) == 256 and set(page_type[pages:]) <= {255}
+        assert len(set(ids)) == factorial(n)
+        lams = [lam.parts for lam in partitions_of(n)]
+        for p, j in zip(permutations(range(n)), ids):
+            assert lams[page_type[j >> 8]] == _ref_cycle_type(p) == by_id[j][0]
+        assert horizontals == tuple(j for p, j in zip(permutations(range(n)), ids)
+                                    if _ref_cycle_type(p) == (n,))
+
+
+def test_tally_refuses_a_code_outside_its_parity(monkeypatch):
+    buf, counts = bytearray([0, 2, 1, 2]), [0] * 3
+    message = r"census class \('a class',\): 1 bytes outside \(0, 2\)"
+    with pytest.raises(ArithmeticError, match=message):
+        oracle_module._tally(buf, counts, (0, 2), ("a class",))
+    assert counts == [0, 0, 0]
+    oracle_module._tally(buf, counts, (0, 1, 2), ("a class",))
+    assert (buf, counts) == (bytearray(), [1, 1, 2])
+    # the pair pass: one page read as a type of the other parity
+    by_id, page_type, horizontals, ids = oracle_module._ranked(5)
+    lams = [lam.parts for lam in partitions_of(5)]
+    wrong = bytearray(page_type)
+    wrong[1] = next(t for t, lam in enumerate(lams) if (len(lam) - len(lams[page_type[1]])) % 2)
+    monkeypatch.setattr(oracle_module, "_ranked", lambda n: (by_id, bytes(wrong), horizontals, ids))
+    with pytest.raises(ArithmeticError, match="census class"):
+        _pair_pass.__wrapped__(5)
 
 
 def test_census_passes_refuse_past_the_hard_cap_before_any_table(monkeypatch):
