@@ -112,8 +112,8 @@ def _cycle_types(n: int) -> tuple[tuple[int, ...], ...]:
 @lru_cache(maxsize=None)
 def _ranked(n: int) -> tuple[tuple[PermStats, ...], bytes, tuple[int, ...], bytes]:
     """S_n in census ids: each cycle type fills whole pages of 256 ids in
-    lexicographic order, its last arrangement padding its last page.  By
-    id: (cycle type, valid-cut mask, largest separated prefix, largest
+    lexicographic order, padding its last page with its last arrangement
+    (no walk reaches the padding).  By id: (cycle type, valid-cut mask, largest separated prefix, largest
     fixed prefix), read off one cycle walk, interned.  Then the page ->
     type id table for ``bytes.translate`` (255, a code no class counts,
     past the last page); the horizontals (n-cycles), ids 0 to (n-1)! - 1;
@@ -254,8 +254,9 @@ def _tally(buf: bytearray, counts: list[int], codes: Sequence[int], key: Hashabl
 def _slots(classes: Iterable[Hashable], size: int, codes: Callable) -> tuple[dict, list]:
     """One (buffer, counts, codes, class) slot per distinct class, its
     buffer holding only ``codes(class)``, and per id the slot of its class."""
-    slots: dict = {}
-    return slots, [slots.setdefault(c, (bytearray(), [0] * size, codes(c), c)) for c in classes]
+    of_id = list(classes)
+    slots = {c: (bytearray(), [0] * size, codes(c), c) for c in dict.fromkeys(of_id)}
+    return slots, [slots[c] for c in of_id]
 
 
 CensusKey = tuple[tuple[int, ...], tuple[int, ...], int, int]
