@@ -45,7 +45,7 @@ from itertools import permutations as _all_arrangements
 from math import factorial
 from operator import add, itemgetter, sub
 from struct import Struct
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterator, Sequence
 
 from .partitions import Composition, IntegerPartition, partitions_of
 from .perm import (
@@ -113,11 +113,12 @@ def _cycle_types(n: int) -> tuple[tuple[int, ...], ...]:
 def _ranked(n: int) -> tuple[tuple[PermStats, ...], bytes, tuple[int, ...], bytes]:
     """S_n in census ids: each cycle type fills whole pages of 256 ids in
     lexicographic order, padding its last page with its last arrangement
-    (no walk reaches the padding).  By id: (cycle type, valid-cut mask, largest separated prefix, largest
-    fixed prefix), read off one cycle walk, interned.  Then the page ->
-    type id table for ``bytes.translate`` (255, a code no class counts,
-    past the last page); the horizontals (n-cycles), ids 0 to (n-1)! - 1;
-    and the id of each lexicographic rank as 16-bit words."""
+    (no walk reaches the padding).  By id: (cycle type, valid-cut mask,
+    largest separated prefix, largest fixed prefix), read off one cycle
+    walk, interned.  Then the page -> type id table for ``bytes.translate``
+    (255, a code no class counts, past the last page); the horizontals
+    (n-cycles), ids 0 to (n-1)! - 1; and the id of each lexicographic rank
+    as 16-bit words."""
     type_id = {lam: t for t, lam in enumerate(_cycle_types(n))}
     interned: dict[PermStats, PermStats] = {}
     members: list[list[PermStats]] = [[] for _ in type_id]  # per type id, in order
@@ -251,12 +252,16 @@ def _tally(buf: bytearray, counts: list[int], codes: Sequence[int], key: Hashabl
     buf.clear()
 
 
-def _slots(classes: Iterable[Hashable], size: int, codes: Callable) -> tuple[dict, list]:
-    """One (buffer, counts, codes, class) slot per distinct class, its
-    buffer holding only ``codes(class)``, and per id the slot of its class."""
-    of_id = list(classes)
-    slots = {c: (bytearray(), [0] * size, codes(c), c) for c in dict.fromkeys(of_id)}
-    return slots, [slots[c] for c in of_id]
+def _slots(by_id: Sequence, class_of: Callable, size: int, codes: Callable) -> tuple[dict, list]:
+    """One (buffer, counts, codes, class) slot per distinct class of the
+    interned stats, its buffer holding only ``codes(class)``, and per id
+    the slot of its class."""
+    slots: dict = {}
+    of_stats = {}
+    for stats in dict.fromkeys(by_id):
+        c = class_of(stats)
+        of_stats[stats] = slots.setdefault(c, (bytearray(), [0] * size, codes(c), c))
+    return slots, list(map(of_stats.__getitem__, by_id))
 
 
 CensusKey = tuple[tuple[int, ...], tuple[int, ...], int, int]
@@ -283,9 +288,9 @@ def _pair_pass(n: int) -> tuple[dict[CensusKey, int], dict[int, int]]:
     """
     lams = _cycle_types(n)
     by_id, _, horizontals, _ = _ranked(n)
-    masks = bytes(mask for _, mask, _, _ in by_id)
+    masks = bytes(map(itemgetter(1), by_id))
     parity = _parity_codes(n, lams, 1)
-    slots, slot_of = _slots(((mu, smax, imax) for mu, _, smax, imax in by_id), len(lams),
+    slots, slot_of = _slots(by_id, itemgetter(0, 2, 3), len(lams),
                             lambda c: parity[len(c[0]) % 2])
     alpha = (bytearray(), [0] * (1 << (n - 1)), range(1 << (n - 1)), "alpha")
     for _, q, codes, diagonals in _diagonal_walk(n):
@@ -349,7 +354,7 @@ def _census_stratified(n: int) -> dict[StratifiedKey, int]:
     by_id, _, horizontals, _ = _ranked(n)
     # at most n - 1 exceedances, so every code is below width * n
     parity = _parity_codes(n, lams, n)
-    slots, slot_of = _slots(((len(mu), smax) for mu, _, smax, _ in by_id), width * n,
+    slots, slot_of = _slots(by_id, lambda stats: (len(stats[0]), stats[2]), width * n,
                             lambda c: parity[c[0] % 2])
     places = [inverse0(cycles0(p)[0])  # pos, per horizontal: the ids below (n-1)!
               for p, j in zip(_all_arrangements(range(n)), _ids_by_rank(n))
