@@ -80,7 +80,7 @@ def test_census_determinism():
 
 
 def test_each_permutation_walked_once(monkeypatch):
-    # the per-rank table is the only walk over S_n: the census reads both
+    # the per-id table (_ranked) is the only walk over S_n: the census reads both
     # the diagonals and the verticals off it, and the stratified census
     # reuses it, walking only each horizontal once more for its sequence
     # order
