@@ -13,18 +13,22 @@ overflow 64-bit integers quickly, so JSON never carries them as
 numbers).  ``--format csv`` emits the same values in CSV; ``--out``
 redirects either form to a file.  ``verify`` prints text lines only and
 has no ``--format``.
+
+A ``count``, ``prob`` or ``table`` answered by formula imports only this
+module, :mod:`~sepcycles.counting` and :mod:`~sepcycles.partitions`; the
+oracle is imported where an enumeration runs or a cap is checked, and
+:mod:`~sepcycles.verify` only by ``verify``.
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
 from fractions import Fraction
 from functools import partial
 
-from . import counting, oracle, verify
+from . import counting
 from .partitions import Composition, IntegerPartition, PartitionParseError, partitions_of
 
 COUNT_QUANTITIES = (
@@ -34,8 +38,11 @@ COUNT_QUANTITIES = (
 PROB_QUANTITIES = ("separation", "isolation", "fpf", "moments")
 # the quantities with no enumeration to answer --source oracle from
 FORMULA_ONLY = ("stirling", "c-sep", "c-fix")
-CAP_HELP = (f"oracle enumeration cap (default {oracle.DEFAULT_CAP}, "
-            f"hard maximum {oracle.HARD_CAP})")
+# oracle.DEFAULT_CAP, oracle.HARD_CAP and the names of verify.SUITES,
+# spelled out so that building the parser imports neither module (a test
+# holds them equal)
+CAP_HELP = "oracle enumeration cap (default 7, hard maximum 8)"
+VERIFY_SUITES = ("closed-forms", "recurrences", "identities")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -47,7 +54,10 @@ def main(argv: list[str] | None = None) -> int:
         if out_format not in ("json", "csv"):
             raise ValueError(f"unsupported format {out_format!r}")
         cap = args.cap if getattr(args, "cap", None) is not None else config.get("oracle_cap")
-        oracle.active_cap(cap)  # refuse a cap above the hard maximum on every command
+        if cap is not None:  # refuse a cap outside 1..HARD_CAP on every command
+            from . import oracle
+
+            oracle.active_cap(cap)
         if args.command == "count":
             records = _run_count(args, cap)
         elif args.command == "prob":
@@ -57,8 +67,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             return _run_verify(args, cap)
         stream = out_stream(args)
-    except (PartitionParseError, ValueError, ArithmeticError, oracle.OracleCapError,
-            OSError) as exc:
+    except (PartitionParseError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _emit(records, out_format, stream)
@@ -120,7 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", parents=[common],
                               help="run formula-vs-oracle suites")
     p_verify.add_argument("--max-n", type=int, required=True)
-    p_verify.add_argument("--suite", choices=list(verify.SUITES) + ["all"],
+    p_verify.add_argument("--suite", choices=[*VERIFY_SUITES, "all"],
                           default="all")
     p_verify.add_argument("--cap", type=int, default=None, help=CAP_HELP)
     p_verify.add_argument("--quiet", action="store_true",
@@ -178,6 +187,8 @@ def _run_count(args, cap) -> list[dict]:
         alpha = Composition.from_string(args.alpha)
         started = time.perf_counter()
         if args.source == "oracle":
+            from . import oracle
+
             value, source = oracle.oracle_alpha(alpha, cap=cap), "oracle"
         else:
             value, source = counting.alpha_separated_count(alpha), "closed_form"
@@ -225,22 +236,23 @@ def _run_count(args, cap) -> list[dict]:
         for k in ks:
             if not 1 <= k <= n:
                 raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
-    # quantity -> (formula, the source it reports, enumeration or None), each
-    # called as f(lam, m, k); lam is the n-cycle type (n) unless --lambda
-    # gives it.  Enumeration runs only on --source oracle, which is refused
-    # above where the enumeration is None.
+    # quantity -> (formula, the source it reports), each called as
+    # f(lam, m, k); lam is the n-cycle type (n) unless --lambda gives it.
+    # --source oracle, refused above for the formula-only quantities,
+    # enumerates instead: oracle_p for the p- quantities, oracle_i for i-.
     methods = {
-        "c-sep": (lambda lam, m, k: counting.c_sep(lam.n, k, m), "closed_form", None),
-        "c-fix": (lambda lam, m, k: counting.c_fix(lam.n, k, m), "closed_form", None),
-        "p-ncycle": (lambda lam, m, k: counting.p_ncycle(lam.n, m, k), "closed_form",
-                     oracle.oracle_p),
-        "i-ncycle": (lambda lam, m, k: counting.i_ncycle(lam.n, m, k), "closed_form",
-                     oracle.oracle_i),
-        "p-lambda": (counting.p_lambda, "recurrence", oracle.oracle_p),
-        "i-lambda": (counting.i_lambda, "recurrence", oracle.oracle_i),
+        "c-sep": (lambda lam, m, k: counting.c_sep(lam.n, k, m), "closed_form"),
+        "c-fix": (lambda lam, m, k: counting.c_fix(lam.n, k, m), "closed_form"),
+        "p-ncycle": (lambda lam, m, k: counting.p_ncycle(lam.n, m, k), "closed_form"),
+        "i-ncycle": (lambda lam, m, k: counting.i_ncycle(lam.n, m, k), "closed_form"),
+        "p-lambda": (counting.p_lambda, "recurrence"),
+        "i-lambda": (counting.i_lambda, "recurrence"),
     }
-    value_of, source, enumeration = methods[q]
+    value_of, source = methods[q]
     if args.source == "oracle":
+        from . import oracle
+
+        enumeration = oracle.oracle_p if q.startswith("p-") else oracle.oracle_i
         value_of, source = partial(enumeration, cap=cap), "oracle"
     for k in ks:
         started = time.perf_counter()
@@ -300,6 +312,8 @@ def _run_table(args, cap) -> list[dict]:
 def _oracle_table(n: int, m: int, kind: str, cap: int | None) -> counting.CountTable:
     """The (lambda, k) table of :func:`counting.build_count_table`, every
     entry read off the enumeration instead."""
+    from . import oracle
+
     value_of = oracle.oracle_p if kind == "p" else oracle.oracle_i
     entries = {}
     for lam in partitions_of(n):
@@ -311,6 +325,8 @@ def _oracle_table(n: int, m: int, kind: str, cap: int | None) -> counting.CountT
 
 
 def _run_verify(args, cap) -> int:
+    from . import verify
+
     suites = list(verify.SUITES) if args.suite == "all" else [args.suite]
     records = verify.run_suites(suites, args.max_n, cap=cap)
     failures = [r for r in records if not r.ok]
@@ -355,6 +371,8 @@ def _emit(records: list[dict], out_format: str, stream) -> None:
             for key in row:
                 if key not in fields:
                     fields.append(key)
+        import csv
+
         writer = csv.DictWriter(stream, fieldnames=fields)
         writer.writeheader()
         for row in rows:
