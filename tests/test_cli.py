@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from sepcycles import cli, counting
+from sepcycles import cli, counting, oracle, verify
 from sepcycles.oracle import HARD_CAP
 from sepcycles.partitions import IntegerPartition
 
@@ -233,19 +233,30 @@ def test_cap_above_hard_maximum_rejected(tmp_path, capsys, quantity):
         assert code == 2
         assert f"cap {cap} exceeds the hard maximum {HARD_CAP}" in err
         assert out == ""
-    # a cap below 1 would refuse every n: every command rejects it up front
-    config = tmp_path / "sepcycles.cfg"
-    config.write_text("oracle_cap = 0\n")
+    # a cap below 1 would refuse every n, and one above the hard maximum
+    # is refused too: every command rejects either up front, from --cap or
+    # from the config file
+    low, high = tmp_path / "low.cfg", tmp_path / "high.cfg"
+    low.write_text("oracle_cap = 0\n")
+    high.write_text(f"oracle_cap = {HARD_CAP + 1}\n")
+    below = "cap {} is below 1: it would refuse every n"
+    above = f"cap {HARD_CAP + 1} exceeds the hard maximum {HARD_CAP}"
     commands = [
         ["count", quantity, *which, "--m", "0", "--k", "2"],
         ["table", "--n", "4", "--m", "1", "--kind", "p"],
         ["verify", "--max-n", "3", "--suite", "closed-forms"],
     ]
     for argv in commands:
-        for cap_args in (["--cap", "0"], ["--cap", "-3"], ["--config", str(config)]):
+        for cap_args, message in (
+            (["--cap", "0"], below.format(0)),
+            (["--cap", "-3"], below.format(-3)),
+            (["--config", str(low)], below.format(0)),
+            (["--cap", str(HARD_CAP + 1)], above),
+            (["--config", str(high)], above),
+        ):
             code, out, err = run_cli(capsys, *argv, *cap_args)
             assert code == 2, (argv, cap_args)
-            assert "is below 1" in err
+            assert err == f"error: {message}\n"
             assert out == ""
 
 
@@ -464,3 +475,56 @@ def test_verify_refuses_format(tmp_path, capsys):
                            "--config", str(config))
     assert code == 0
     assert out.startswith("189 checks, 0 mismatches")
+
+
+# every sepcycles module a cold formula command may load
+FORMULA_MODULES = {"sepcycles", "sepcycles.cli", "sepcycles.counting", "sepcycles.partitions"}
+
+
+@pytest.mark.parametrize("argv, enumerates", [
+    (["count", "p-ncycle", "--n", "6", "--m", "2", "--k", "all"], False),
+    (["count", "alpha", "--alpha", "1,3"], False),
+    (["count", "p-lambda", "--lambda", "3+2+1", "--m", "1", "--k", "2"], False),
+    (["prob", "separation", "--n", "7", "--m", "3", "--format", "csv"], False),
+    (["table", "--n", "6", "--m", "1", "--kind", "i"], False),
+    (["count", "i-ncycle", "--n", "5", "--m", "1", "--k", "2", "--source", "oracle"], True),
+    (["table", "--n", "4", "--m", "1", "--table-source", "oracle"], True),
+    (["verify", "--max-n", "3", "--suite", "closed-forms", "--quiet"], True),
+])
+def test_cold_process_loads_only_what_the_command_runs(argv, enumerates):
+    # a formula answer needs neither the oracle nor verify (nor perm and
+    # plane, which only they import), so a cold process never compiles them
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    script = (
+        "import json, sys\n"
+        "from sepcycles import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'sepcycles')),"
+        " file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-s", "-c", script, *argv], capture_output=True, text=True, env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stderr.splitlines()[-1]))
+    if not enumerates:
+        assert loaded == FORMULA_MODULES
+    else:
+        assert {"sepcycles.oracle", *FORMULA_MODULES} <= loaded
+        assert ("sepcycles.verify" in loaded) == (argv[0] == "verify")
+
+
+def test_cli_spells_the_oracle_caps_and_verify_suites():
+    # the parser is built without importing oracle or verify, so it spells
+    # their constants out; these must stay equal to the sources
+    assert cli.CAP_HELP == (f"oracle enumeration cap (default {oracle.DEFAULT_CAP}, "
+                            f"hard maximum {oracle.HARD_CAP})")
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    for command in ("count", "table", "verify"):
+        (cap,) = (a for a in commands[command]._actions if a.dest == "cap")
+        assert cap.help == cli.CAP_HELP
+    (suite,) = (a for a in commands["verify"]._actions if a.dest == "suite")
+    assert suite.choices == list(verify.SUITES) + ["all"]
