@@ -12,7 +12,8 @@ Every record echoes its query and reports the value as a string (counts
 overflow 64-bit integers quickly, so JSON never carries them as
 numbers).  ``--format csv`` emits the same values in CSV; ``--out``
 redirects either form to a file.  ``verify`` prints text lines only and
-has no ``--format``.
+has no ``--format``.  Each command returns its text, and :func:`main`
+writes it once, to stdout or to ``--out``, after the command succeeded.
 
 A ``count``, ``prob`` or ``table`` answered by formula imports only this
 module, :mod:`~sepcycles.counting` and :mod:`~sepcycles.partitions`; the
@@ -26,18 +27,28 @@ import json
 import sys
 import time
 from fractions import Fraction
-from functools import partial
 
 from . import counting
 from .partitions import Composition, IntegerPartition, PartitionParseError, partitions_of
 
-COUNT_QUANTITIES = (
-    "stirling", "c-sep", "c-fix", "p-ncycle", "i-ncycle", "p-lambda",
-    "i-lambda", "alpha",
-)
+# count quantity -> (formula, the source it reports, the oracle query that
+# answers --source oracle or None, the subject flags it reads).  Each
+# formula and query is called as f(lam, m, k), lam the n-cycle type (n)
+# unless --lambda gives it; alpha's as f(alpha).
+COUNTS = {
+    "stirling": (lambda lam, m, k: counting.stirling_c(lam.n, k), "closed_form", None,
+                 ("n", "k")),
+    "c-sep": (lambda lam, m, k: counting.c_sep(lam.n, k, m), "closed_form", None, ("n", "k")),
+    "c-fix": (lambda lam, m, k: counting.c_fix(lam.n, k, m), "closed_form", None, ("n", "k")),
+    "p-ncycle": (lambda lam, m, k: counting.p_ncycle(lam.n, m, k), "closed_form", "oracle_p",
+                 ("n", "k")),
+    "i-ncycle": (lambda lam, m, k: counting.i_ncycle(lam.n, m, k), "closed_form", "oracle_i",
+                 ("n", "k")),
+    "p-lambda": (counting.p_lambda, "recurrence", "oracle_p", ("lambda", "k")),
+    "i-lambda": (counting.i_lambda, "recurrence", "oracle_i", ("lambda", "k")),
+    "alpha": (counting.alpha_separated_count, "closed_form", "oracle_alpha", ("alpha",)),
+}
 PROB_QUANTITIES = ("separation", "isolation", "fpf", "moments")
-# the quantities with no enumeration to answer --source oracle from
-FORMULA_ONLY = ("stirling", "c-sep", "c-fix")
 # oracle.DEFAULT_CAP, oracle.HARD_CAP and the names of verify.SUITES,
 # spelled out so that building the parser imports neither module (a test
 # holds them equal)
@@ -46,10 +57,9 @@ VERIFY_SUITES = ("closed-forms", "recurrences", "identities")
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        config = _load_config(args.config) if getattr(args, "config", None) else {}
+        config = _load_config(args.config) if args.config else {}
         out_format = getattr(args, "format", None) or config.get("format", "json")
         if out_format not in ("json", "csv"):
             raise ValueError(f"unsupported format {out_format!r}")
@@ -58,26 +68,26 @@ def main(argv: list[str] | None = None) -> int:
             from . import oracle
 
             oracle.active_cap(cap)
-        if args.command == "count":
-            records = _run_count(args, cap)
-        elif args.command == "prob":
-            records = _run_prob(args)
-        elif args.command == "table":
-            records = _run_table(args, cap)
+        if args.command == "verify":
+            code, text = _run_verify(args, cap)
         else:
-            return _run_verify(args, cap)
-        stream = out_stream(args)
+            if args.command == "count":
+                records = _run_count(args, cap)
+            elif args.command == "prob":
+                records = _run_prob(args)
+            else:
+                records = _run_table(args, cap)
+            code, text = 0, _render(records, out_format)
+        # the one writer: a refused or failed command leaves --out untouched
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="") as stream:
+                stream.write(text)
+        else:
+            sys.stdout.write(text)
     except (PartitionParseError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(records, out_format, stream)
-    return 0
-
-
-def out_stream(args):
-    if getattr(args, "out", None):
-        return open(args.out, "w", encoding="utf-8", newline="")
-    return sys.stdout
+    return code
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -96,12 +106,12 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="output format (default json, or the config value)")
 
     p_count = sub.add_parser("count", parents=[formatted], help="exact counts")
-    p_count.add_argument("quantity", choices=COUNT_QUANTITIES)
+    p_count.add_argument("quantity", choices=COUNTS)
     p_count.add_argument("--n", type=int)
     p_count.add_argument("--m", type=int, default=0)
     p_count.add_argument("--k", default=None,
                          help="vertical cycle count, or 'all' for one record per k")
-    p_count.add_argument("--lambda", dest="lam", metavar="PARTITION",
+    p_count.add_argument("--lambda", metavar="PARTITION",
                          help="diagonal cycle type, e.g. 2+1+1 or 1^2 2^1")
     p_count.add_argument("--alpha", metavar="COMPOSITION",
                          help="composition, e.g. 1,3")
@@ -171,61 +181,45 @@ def _record(query: dict, value, source: str, started: float) -> dict:
     }
 
 
-def _need(args, *names):
-    for name in names:
-        if getattr(args, name, None) is None:
-            raise ValueError(f"--{name} is required for this quantity")
-
-
 def _run_count(args, cap) -> list[dict]:
     q = args.quantity
-    if args.source == "oracle" and q in FORMULA_ONLY:
+    formula, source, enumeration, reads = COUNTS[q]
+    if args.source == "oracle" and enumeration is None:
         raise ValueError(f"--source oracle is not available for {q}")
-    records = []
-    if q == "alpha":
-        _need(args, "alpha")
+    for flag in ("n", "lambda", "alpha", "k"):
+        if flag not in reads and getattr(args, flag) is not None:
+            raise ValueError(f"--{flag} does not apply to {q}")
+    for flag in reads:
+        if getattr(args, flag) is None:
+            raise ValueError(f"--{flag} is required for this quantity")
+        if flag == "n" and args.n < 1:
+            raise ValueError(f"--n must be >= 1, got {args.n}")
+
+    options = {}
+    if args.source == "oracle":
+        from . import oracle
+
+        formula, source, options = getattr(oracle, enumeration), "oracle", {"cap": cap}
+    if q == "alpha":  # no k: one record for the composition
         alpha = Composition.from_string(args.alpha)
         started = time.perf_counter()
-        if args.source == "oracle":
-            from . import oracle
-
-            value, source = oracle.oracle_alpha(alpha, cap=cap), "oracle"
-        else:
-            value, source = counting.alpha_separated_count(alpha), "closed_form"
         return [_record({"command": "count", "quantity": q, "alpha": str(alpha)},
-                        value, source, started)]
+                        formula(alpha, **options), source, started)]
 
-    by_lambda = q in ("p-lambda", "i-lambda")
+    by_lambda = "lambda" in reads
     if by_lambda:
-        _need(args, "lam", "k")
-        lam = IntegerPartition.from_string(args.lam)
-        n = lam.n
+        lam = IntegerPartition.from_string(getattr(args, "lambda"))
     else:
-        _need(args, "n")
-        n = args.n
-        if n < 1:
-            raise ValueError(f"--n must be >= 1, got {n}")
-        lam = IntegerPartition((n,))
-    if args.k is None:
-        raise ValueError("--k is required for this quantity")
-    first_k = 0 if q == "stirling" else 1
+        lam = IntegerPartition((args.n,))
+    n = lam.n
     if args.k == "all":
-        ks = list(range(first_k, n + 1))
+        ks = range(0 if q == "stirling" else 1, n + 1)
     else:
         try:
             ks = [int(args.k)]
         except ValueError:
             raise ValueError(f"--k must be an integer or 'all', got {args.k!r}") from None
-
-    if q == "stirling":
-        for k in ks:
-            started = time.perf_counter()
-            value = counting.stirling_c(n, k)
-            records.append(_record({"command": "count", "quantity": q, "n": n, "k": k},
-                                   value, "closed_form", started))
-        return records
-
-    if q in ("p-ncycle", "i-ncycle", "p-lambda", "i-lambda"):
+    if enumeration is not None:
         # the formula's domain, in its order (m, then k), whichever source
         # answers: i_ncycle divides by n - m, and the enumeration, which
         # counts any k, would answer 0 outside 1 <= k <= n
@@ -236,30 +230,15 @@ def _run_count(args, cap) -> list[dict]:
         for k in ks:
             if not 1 <= k <= n:
                 raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
-    # quantity -> (formula, the source it reports), each called as
-    # f(lam, m, k); lam is the n-cycle type (n) unless --lambda gives it.
-    # --source oracle, refused above for the formula-only quantities,
-    # enumerates instead: oracle_p for the p- quantities, oracle_i for i-.
-    methods = {
-        "c-sep": (lambda lam, m, k: counting.c_sep(lam.n, k, m), "closed_form"),
-        "c-fix": (lambda lam, m, k: counting.c_fix(lam.n, k, m), "closed_form"),
-        "p-ncycle": (lambda lam, m, k: counting.p_ncycle(lam.n, m, k), "closed_form"),
-        "i-ncycle": (lambda lam, m, k: counting.i_ncycle(lam.n, m, k), "closed_form"),
-        "p-lambda": (counting.p_lambda, "recurrence"),
-        "i-lambda": (counting.i_lambda, "recurrence"),
-    }
-    value_of, source = methods[q]
-    if args.source == "oracle":
-        from . import oracle
-
-        enumeration = oracle.oracle_p if q.startswith("p-") else oracle.oracle_i
-        value_of, source = partial(enumeration, cap=cap), "oracle"
+    records = []
     for k in ks:
         started = time.perf_counter()
         query = {"command": "count", "quantity": q, "n": n, "m": args.m, "k": k}
+        if q == "stirling":  # c(n, k) has no m
+            del query["m"]
         if by_lambda:
             query["lambda"] = str(lam)
-        records.append(_record(query, value_of(lam, args.m, k), source, started))
+        records.append(_record(query, formula(lam, args.m, k, **options), source, started))
     return records
 
 
@@ -314,7 +293,7 @@ def _oracle_table(n: int, m: int, kind: str, cap: int | None) -> counting.CountT
     entry read off the enumeration instead."""
     from . import oracle
 
-    value_of = oracle.oracle_p if kind == "p" else oracle.oracle_i
+    value_of = getattr(oracle, COUNTS[f"{kind}-lambda"][2])
     entries = {}
     for lam in partitions_of(n):
         for k in range(1, n + 1):
@@ -324,62 +303,41 @@ def _oracle_table(n: int, m: int, kind: str, cap: int | None) -> counting.CountT
     return counting.CountTable(n=n, m=m, kind=kind, source="oracle", entries=entries)
 
 
-def _run_verify(args, cap) -> int:
+def _run_verify(args, cap) -> tuple[int, str]:
     from . import verify
 
     suites = list(verify.SUITES) if args.suite == "all" else [args.suite]
     records = verify.run_suites(suites, args.max_n, cap=cap)
     failures = [r for r in records if not r.ok]
-    # opened only now, so a refused or failed run leaves --out untouched
-    stream = out_stream(args)
-    try:
-        for record in records:
-            if record.ok and args.quiet:
-                continue
-            print(record.line(), file=stream)
-        print(
-            f"{len(records)} checks, {len(failures)} mismatches "
-            f"(suites: {', '.join(suites)}, max n {args.max_n})",
-            file=stream,
-        )
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
-    return 1 if failures else 0
+    lines = [r.line() for r in records if not (r.ok and args.quiet)]
+    lines.append(f"{len(records)} checks, {len(failures)} mismatches "
+                 f"(suites: {', '.join(suites)}, max n {args.max_n})")
+    return (1 if failures else 0), "\n".join(lines) + "\n"
 
 
-def _emit(records: list[dict], out_format: str, stream) -> None:
-    try:
-        if out_format == "json":
-            payload = records[0] if len(records) == 1 else records
-            # the table serializer writes json.dumps's text, only faster
-            dump = counting.table_json if "entries" in payload else json.dumps
-            print(dump(payload, indent=2), file=stream)
-            return
-        fields: list[str] = []
-        rows = []
-        for record in records:
-            if "entries" in record:  # a materialised table: one row per entry
-                header = {k: v for k, v in record.items() if k != "entries"}
-                for entry in record["entries"]:
-                    rows.append({**header, **entry})
-                continue
-            row = dict(record.get("query", {}))
-            row.update((k, v) for k, v in record.items() if k != "query")
-            rows.append(row)
-        for row in rows:
-            for key in row:
-                if key not in fields:
-                    fields.append(key)
-        import csv
+def _render(records: list[dict], out_format: str) -> str:
+    if out_format == "json":
+        payload = records[0] if len(records) == 1 else records
+        # the table serializer writes json.dumps's text, only faster
+        dump = counting.table_json if "entries" in payload else json.dumps
+        return dump(payload, indent=2) + "\n"
+    rows = []
+    for record in records:
+        if "entries" in record:  # a materialised table: one row per entry
+            header = {k: v for k, v in record.items() if k != "entries"}
+            rows.extend({**header, **entry} for entry in record["entries"])
+        else:
+            rest = {k: v for k, v in record.items() if k != "query"}
+            rows.append({**record["query"], **rest})
+    import csv
+    import io
 
-        writer = csv.DictWriter(stream, fieldnames=fields)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
+    text = io.StringIO()
+    fields = list(dict.fromkeys(key for row in rows for key in row))
+    writer = csv.DictWriter(text, fieldnames=fields)
+    writer.writeheader()
+    writer.writerows(rows)
+    return text.getvalue()
 
 
 if __name__ == "__main__":

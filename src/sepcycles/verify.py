@@ -216,13 +216,12 @@ def suite_identities(max_n: int, cap: int | None = None) -> list[CheckRecord]:
                     ok = False
         _record(records, suite, "mirror-ntae-identity", {"n": n}, ok, True)
 
-    # cycle-count bound, read off the census keys; the census has no query
-    # guard of its own, so the cap is checked before each pass
+    # cycle-count bound: no pair has l(lam) + k > n + 1
     for n in range(1, max_n + 1):
-        oracle._check_cap(n, cap)
         bound_ok = all(
-            len(lam) + len(mu) <= n + 1
-            for (lam, mu, _, _) in oracle._census(n).keys()
+            oracle.oracle_p(lam, 0, k, cap=cap) == 0
+            for lam in partitions_of(n)
+            for k in range(n + 2 - lam.length, n + 1)
         )
         _record(records, suite, "cycle-count-bound", {"n": n}, bound_ok, True)
 

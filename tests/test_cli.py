@@ -1,8 +1,10 @@
 import csv
 import gc
+import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -147,6 +149,43 @@ def test_count_source_oracle_refused_without_enumeration(capsys, argv):
     code, out, err = run_cli(capsys, "count", *argv, "--source", "oracle")
     assert code == 2
     assert err == f"error: --source oracle is not available for {argv[0]}\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("quantity", ["p-lambda", "i-lambda"])
+def test_count_missing_lambda_names_the_flag(capsys, quantity):
+    code, out, err = run_cli(capsys, "count", quantity, "--k", "1")
+    assert code == 2
+    assert err == "error: --lambda is required for this quantity\n"
+    assert out == ""
+
+
+# the subject flags each count quantity reads, and a value for every flag
+READS = {
+    "stirling": {"n", "k"}, "c-sep": {"n", "k"}, "c-fix": {"n", "k"},
+    "p-ncycle": {"n", "k"}, "i-ncycle": {"n", "k"},
+    "p-lambda": {"lambda", "k"}, "i-lambda": {"lambda", "k"}, "alpha": {"alpha"},
+}
+FLAG_VALUES = {"n": "4", "lambda": "2+1+1", "alpha": "1,3", "k": "2"}
+
+
+@pytest.mark.parametrize("quantity, flag", [
+    (q, flag) for q, reads in READS.items() for flag in FLAG_VALUES if flag not in reads
+])
+def test_count_refuses_a_flag_the_quantity_does_not_read(capsys, monkeypatch, quantity, flag):
+    # a flag the quantity would drop (--n beside --lambda answered for the
+    # partition's size) is refused before any value is computed
+    formula, *rest = cli.COUNTS[quantity]
+    assert rest[2] == tuple(f for f in FLAG_VALUES if f in READS[quantity])
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a value was computed")
+
+    monkeypatch.setitem(cli.COUNTS, quantity, (refused, *rest))
+    argv = [a for f in sorted(READS[quantity]) for a in (f"--{f}", FLAG_VALUES[f])]
+    code, out, err = run_cli(capsys, "count", quantity, *argv, f"--{flag}", FLAG_VALUES[flag])
+    assert code == 2
+    assert err == f"error: --{flag} does not apply to {quantity}\n"
     assert out == ""
 
 
@@ -528,3 +567,127 @@ def test_cli_spells_the_oracle_caps_and_verify_suites():
         assert cap.help == cli.CAP_HELP
     (suite,) = (a for a in commands["verify"]._actions if a.dest == "suite")
     assert suite.choices == list(verify.SUITES) + ["all"]
+
+
+# A fixed corpus of argv run through cli.main: the exit code, and one sha256
+# of stdout, stderr and the --out file, time_seconds masked.  The values
+# were recorded before the command table and the single writer replaced
+# the per-quantity branches, so any changed byte of the shell fails here.
+GOLDEN = [
+    ("count stirling --n 5 --k all", 0,
+     "bc062bfcea931d2b4f44d7450963e6248da3969131bcd80d6ade702141a9f6ee"),
+    ("count stirling --n 5 --k 2 --source oracle", 2,
+     "0a1d786bad37791e209da53aa7a8b6d1677c15e564e3d57ee119a1baab2b565c"),
+    ("count c-sep --n 5 --m 2 --k all", 0,
+     "7367226f5a7020f105bf57a3f81718b2f5086cda2362c90a71e55c594d8d02d9"),
+    ("count c-sep --n 5 --m 2 --k 2 --source oracle", 2,
+     "363adc68b1df8759a09327173343b5d4ead38098952e218a900c2aa5ccedb9cd"),
+    ("count c-fix --n 5 --m 1 --k 3", 0,
+     "98652ceed029a6687429189d44625749fd8f7e2b753e4dcff5b74cb4613df783"),
+    ("count c-fix --n 5 --m 1 --k 3 --source oracle", 2,
+     "a16c127417d5ec77866abf24e2cf9af5becca1fb219927b15d1eba2023dbd5f6"),
+    ("count p-ncycle --n 5 --m 2 --k all", 0,
+     "813589ab99cf74e8c4746562913a104753c08212b6624240cda97c6a85999341"),
+    ("count p-ncycle --n 5 --m 2 --k all --source oracle", 0,
+     "6e7c2f5a48add44eeb8ff7a5ecbe262b3ce66485227e5a5f68ea9285952a8441"),
+    ("count i-ncycle --n 5 --m 1 --k 2", 0,
+     "4865c4a43f9fadd0667abafe75ee5ff0568713b5aa93efb9045f7e485812bd6b"),
+    ("count i-ncycle --n 5 --m 1 --k all --source oracle", 0,
+     "bf43e0f7925ad4ed6de137b7e0265a63d1ad2bc6d1120faeae9faa5f211d9f0d"),
+    ("count p-lambda --lambda 3+1+1 --m 2 --k all", 0,
+     "1b82e3e79f7fa8e6d9a5872cecedda912fc5b98793b3255515d725b1bbbc373d"),
+    ("count p-lambda --lambda 3+1+1 --m 2 --k all --source oracle", 0,
+     "b0da765bd6a7f96c3ee0c9e0fdda255e6804c117a91a9cefcc34bf98adcb675f"),
+    ("count i-lambda --lambda 2+2+1 --m 1 --k 1", 0,
+     "51d4f60b789b6539b92ae241a5b48246741e31f63e695716ef6eebb3f55a8a93"),
+    ("count i-lambda --lambda 2+2+1 --m 1 --k all --source oracle", 0,
+     "8352e6aebee2e9d6338ff1a0c8129c1202bd9a627cdd9adad232f302f4f4a9b7"),
+    ("count alpha --alpha 1,3", 0,
+     "38934ee3b20d9fa6e4206ce62ee84dcc233506697247813d6b2a097d0b803014"),
+    ("count alpha --alpha 2,1,2 --source oracle", 0,
+     "3487c115ef0525845684b423e4320093c51ef846257818c4c480e1b4cee467c5"),
+    ("count p-lambda --lambda 3+1+1 --m 2 --k all --format csv", 0,
+     "56f99b787bba50cbc752c19ceae396d8a824690ccec09c8cf9e892b6612593d0"),
+    ("count alpha --alpha 1,3 --format csv", 0,
+     "3fd2c883f937aa99c7a351ff06946c5bc37be47b06007e82132d9ba12e84b45c"),
+    ("count stirling --n 6 --k all --format csv", 0,
+     "86a20e0ced461628f85c2c6c0070d9fbe6dc8f30ee7ed90c53474d34876b0ab4"),
+    ("count i-ncycle --n 6 --m 2 --k all --out {out}", 0,
+     "f38aa05b14ffbfc588032238c057331f5a495cc5d608adcba0747def3dc5fa82"),
+    ("count c-sep --n 4 --m 1 --k all --format csv --out {out}", 0,
+     "e5adccf8bff1d33e904fc9add7f9851094876eee57c66eb933459fbb84a07e56"),
+    ("prob separation --n 7 --m 3 --decimal 8", 0,
+     "03ec75a0657b8e469575c5bd388c344ce3054480b266ba7cd6cd7f17a363bab0"),
+    ("prob moments --n 5 --decimal 4 --format csv", 0,
+     "32e4e981af8102a46525dd033574cf521937902e8f2403e006d8d6cdc1f9a373"),
+    ("prob fpf --n 6 --decimal 0 --out {out}", 0,
+     "bdf6e90895c9942cd4abe67459bf6ad833304b83b7a97091c3f8ee756d5be140"),
+    ("table --n 5 --m 2 --kind p", 0,
+     "913fae832c4dab456a5047b80dd1f864af6a9184db8f4e0f421069394b539617"),
+    ("table --n 5 --m 2 --kind i --table-source oracle", 0,
+     "24dd6aaad8f3fb0dae054e6a30e9b7384d2577424f7edd29a5231af66a80ec48"),
+    ("table --n 4 --m 1 --kind i --format csv --out {out}", 0,
+     "cc803198c460e938a2d7e0775671e8c9269a5d98e7deb2ec1af1151be13e1829"),
+    ("verify --max-n 4", 0,
+     "4c0df59805262b6b2acce85ffd916bbd455e28d96de0f051590f46a18ab2ef39"),
+    ("verify --max-n 4 --quiet", 0,
+     "6b0831852f29e455617088b9281cec4fca88333d230b4b1ede20aaafb073cac9"),
+    ("verify --max-n 4 --suite identities --quiet --out {out}", 0,
+     "b77cbf64812a358df0a601a18fb202bb9fd3e8f2126ade485b255d93cbe57416"),
+    ("count p-ncycle --n 4 --m 1 --k 9", 2,
+     "0930b2a242984a75049814c7a8e8d5eac152ef21ed8d910f03b62fe900b8256b"),
+    ("count p-lambda --lambda 2+2 --m 1 --k x", 2,
+     "ae87e8b0ab73462f893338fcdc3918cce23bae5e98b91d176254ccd7780ef9f5"),
+    ("count c-sep --n 0 --m 1 --k 1", 2,
+     "0a577060364b397e8f9eef3ddffaffcd7c08cbceabda0d1fd94a04628769d334"),
+    ("table --n 0", 2,
+     "7ebd12422fd8389cb4f8d4a95618a15bc72a31175721bb31c63ff334233c154b"),
+    ("count stirling --n 4 --k 2 --cap 9", 2,
+     "21df1fee39573949bed8a3f6b557f7d5db9b7bf61daf37049ee710557c639ccf"),
+    ("verify --max-n 8", 2,
+     "04714d18778fb01e4abe0a2f1d013b224c123a9bd9b5e18f54e85bdd600db2de"),
+    # the two inputs the command table fixed: the missing flag's own name,
+    # and a subject flag the quantity does not read
+    ("count p-lambda --k 1", 2,
+     "911bac30143fb5ccc721cb7cef9cf520aea81eef669f24adb5b7db5352cbd8c1"),
+    ("count p-lambda --lambda 3+2 --n 7 --k 1", 2,
+     "fb32ea4e4448e59adece85a005884817eb25974a55850b4851aadc6cdba17d98"),
+]
+
+
+def _masked(text, csv_format):
+    """``text`` with every time_seconds value replaced by 0."""
+    if not csv_format:
+        return re.sub(r'("time_seconds": )[-+.e0-9]+', r"\g<1>0", text)
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    if not rows or "time_seconds" not in rows[0]:
+        return text
+    column = rows[0].index("time_seconds")
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(rows[0])
+    for row in rows[1:]:
+        writer.writerow([*row[:column], "0", *row[column + 1:]])
+    return out.getvalue()
+
+
+def golden_digest(capsys, tmp_path, command):
+    """The exit code and the sha256 of the masked stdout, stderr and
+    --out file of one corpus command."""
+    target = tmp_path / "out"
+    argv = command.format(out=target).split()
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    written = ""
+    if target.exists():
+        with open(target, encoding="utf-8", newline="") as handle:
+            written = handle.read()
+    csv_format = "csv" in argv
+    text = "\0".join((_masked(captured.out, csv_format), captured.err,
+                      _masked(written, csv_format)))
+    return code, hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command, code, digest", GOLDEN, ids=[c for c, _, _ in GOLDEN])
+def test_golden_corpus(capsys, tmp_path, command, code, digest):
+    assert golden_digest(capsys, tmp_path, command) == (code, digest)

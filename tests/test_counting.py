@@ -299,6 +299,52 @@ def reference_p_base_sum(mu_parts, mm, reading):
     return total
 
 
+def _elementary(parts, m):
+    """e_m of ``parts``: the sum over m-subsets of the product of parts."""
+    poly = [1]  # coefficients of prod (1 + v x)
+    for v in parts:
+        poly = [a + v * b for a, b in zip(poly + [0], [0] + poly)]
+    return poly[m] if m < len(poly) else 0
+
+
+def test_boundary_values_by_conjugation():
+    # Simultaneous conjugation of (s, pi) keeps both cycle types and moves
+    # {1..m} to every m-set equally often, so count(m) C(n, m) is count(0)
+    # times the m-sets that pi separates (e_m of mu's parts) or fixes
+    # (C(b1, m), b1 the unit parts of mu).  On the boundary count(0) is
+    # (t-1)! (d-1)! n! / (prod mult_lam! prod mult_mu!), t = l(lam), d = l(mu).
+    # This holds p_base past the n <= 6 of resolve_p_base_reading.
+    for n in range(1, 13):
+        for lam in partitions_of(n):
+            for mu in partitions_of(n):
+                if lam.length + mu.length != n + 1:
+                    continue
+                den = prod(map(factorial, [*lam.multiplicities().values(),
+                                           *mu.multiplicities().values()]))
+                free = factorial(lam.length - 1) * factorial(mu.length - 1) * factorial(n)
+                assert free % den == 0
+                base = free // den
+                b1 = mu.parts.count(1)
+                for m in range(n + 1):
+                    case = (str(lam), str(mu), m)
+                    assert p_base(lam, mu, m) * comb(n, m) == base * _elementary(mu.parts, m), case
+                    assert i_base(lam, mu, m) * comb(n, m) == base * comb(b1, m), case
+    # the same symmetry holds off the boundary: hold the enumeration to it
+    for n in range(1, 8):
+        for lam in partitions_of(n):
+            for mu in partitions_of(n):
+                p0 = oracle.oracle_p_by_vertical_type(lam, mu, 0)
+                i0 = oracle.oracle_i_by_vertical_type(lam, mu, 0)
+                assert p0 == i0
+                b1 = mu.parts.count(1)
+                for m in range(n + 1):
+                    case = (str(lam), str(mu), m)
+                    p = oracle.oracle_p_by_vertical_type(lam, mu, m)
+                    i = oracle.oracle_i_by_vertical_type(lam, mu, m)
+                    assert p * comb(n, m) == p0 * _elementary(mu.parts, m), case
+                    assert i * comb(n, m) == i0 * comb(b1, m), case
+
+
 def test_p_base_sum_matches_sub_multiset_enumeration():
     # the coefficient identity against the sum it replaces, on every
     # vertical type with n <= 12 and every effective m
