@@ -34,18 +34,20 @@ from .partitions import Composition, IntegerPartition, PartitionParseError, part
 # count quantity -> (formula, the source it reports, the oracle query that
 # answers --source oracle or None, the subject flags it reads).  Each
 # formula and query is called as f(lam, m, k), lam the n-cycle type (n)
-# unless --lambda gives it; alpha's as f(alpha).
+# unless --lambda gives it, m 0 unless --m gives it; alpha's as f(alpha).
 COUNTS = {
     "stirling": (lambda lam, m, k: counting.stirling_c(lam.n, k), "closed_form", None,
                  ("n", "k")),
-    "c-sep": (lambda lam, m, k: counting.c_sep(lam.n, k, m), "closed_form", None, ("n", "k")),
-    "c-fix": (lambda lam, m, k: counting.c_fix(lam.n, k, m), "closed_form", None, ("n", "k")),
+    "c-sep": (lambda lam, m, k: counting.c_sep(lam.n, k, m), "closed_form", None,
+              ("n", "k", "m")),
+    "c-fix": (lambda lam, m, k: counting.c_fix(lam.n, k, m), "closed_form", None,
+              ("n", "k", "m")),
     "p-ncycle": (lambda lam, m, k: counting.p_ncycle(lam.n, m, k), "closed_form", "oracle_p",
-                 ("n", "k")),
+                 ("n", "k", "m")),
     "i-ncycle": (lambda lam, m, k: counting.i_ncycle(lam.n, m, k), "closed_form", "oracle_i",
-                 ("n", "k")),
-    "p-lambda": (counting.p_lambda, "recurrence", "oracle_p", ("lambda", "k")),
-    "i-lambda": (counting.i_lambda, "recurrence", "oracle_i", ("lambda", "k")),
+                 ("n", "k", "m")),
+    "p-lambda": (counting.p_lambda, "recurrence", "oracle_p", ("lambda", "k", "m")),
+    "i-lambda": (counting.i_lambda, "recurrence", "oracle_i", ("lambda", "k", "m")),
     "alpha": (counting.alpha_separated_count, "closed_form", "oracle_alpha", ("alpha",)),
 }
 PROB_QUANTITIES = ("separation", "isolation", "fpf", "moments")
@@ -108,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_count = sub.add_parser("count", parents=[formatted], help="exact counts")
     p_count.add_argument("quantity", choices=COUNTS)
     p_count.add_argument("--n", type=int)
-    p_count.add_argument("--m", type=int, default=0)
+    p_count.add_argument("--m", type=int)
     p_count.add_argument("--k", default=None,
                          help="vertical cycle count, or 'all' for one record per k")
     p_count.add_argument("--lambda", metavar="PARTITION",
@@ -123,14 +125,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_prob = sub.add_parser("prob", parents=[formatted], help="exact probabilities")
     p_prob.add_argument("quantity", choices=PROB_QUANTITIES)
     p_prob.add_argument("--n", type=int, required=True)
-    p_prob.add_argument("--m", type=int, default=0)
+    p_prob.add_argument("--m", type=int)
     p_prob.add_argument("--decimal", type=int, metavar="D", default=None,
                         help="also render D decimal digits")
 
     p_table = sub.add_parser("table", parents=[formatted],
                              help="full (lambda, k) table for one (n, m)")
     p_table.add_argument("--n", type=int, required=True)
-    p_table.add_argument("--m", type=int, default=0)
+    p_table.add_argument("--m", type=int)
     p_table.add_argument("--kind", choices=["p", "i"], default="p")
     p_table.add_argument("--table-source", choices=["recurrence", "oracle"],
                          default="recurrence")
@@ -172,10 +174,28 @@ def _load_config(path: str) -> dict:
     return config
 
 
+def _text(value: int | Fraction) -> str:
+    """``str(value)`` for an int or a Fraction of any size.  ``str`` of an
+    int refuses more digits than the interpreter's conversion limit (4300
+    by default, 640 at the least), so a large value is written in halves
+    of below 600 digits each; the limit itself is left as it is.
+    """
+    if isinstance(value, Fraction) and value.denominator != 1:
+        return f"{_text(value.numerator)}/{_text(value.denominator)}"
+    value = int(value)
+    if -10**600 < value < 10**600:
+        return str(value)
+    if value < 0:
+        return "-" + _text(-value)
+    half = value.bit_length() * 3 // 20  # about half the decimal digits
+    high, low = divmod(value, 10**half)
+    return _text(high) + _text(low).rjust(half, "0")
+
+
 def _record(query: dict, value, source: str, started: float) -> dict:
     return {
         "query": query,
-        "value": str(value),
+        "value": _text(value),
         "source": source,
         "time_seconds": round(time.perf_counter() - started, 6),
     }
@@ -186,14 +206,15 @@ def _run_count(args, cap) -> list[dict]:
     formula, source, enumeration, reads = COUNTS[q]
     if args.source == "oracle" and enumeration is None:
         raise ValueError(f"--source oracle is not available for {q}")
-    for flag in ("n", "lambda", "alpha", "k"):
+    for flag in ("n", "lambda", "alpha", "k", "m"):
         if flag not in reads and getattr(args, flag) is not None:
             raise ValueError(f"--{flag} does not apply to {q}")
     for flag in reads:
-        if getattr(args, flag) is None:
+        if getattr(args, flag) is None and flag != "m":
             raise ValueError(f"--{flag} is required for this quantity")
         if flag == "n" and args.n < 1:
             raise ValueError(f"--n must be >= 1, got {args.n}")
+    m = args.m or 0
 
     options = {}
     if args.source == "oracle":
@@ -223,29 +244,29 @@ def _run_count(args, cap) -> list[dict]:
         # the formula's domain, in its order (m, then k), whichever source
         # answers: i_ncycle divides by n - m, and the enumeration, which
         # counts any k, would answer 0 outside 1 <= k <= n
-        if q == "i-ncycle" and not 0 <= args.m < n:
-            raise ValueError(f"m must satisfy 0 <= m < n, got m={args.m}, n={n}")
-        if not 0 <= args.m <= n:
-            raise ValueError(f"m must satisfy 0 <= m <= {n}, got {args.m}")
+        if q == "i-ncycle" and not 0 <= m < n:
+            raise ValueError(f"m must satisfy 0 <= m < n, got m={m}, n={n}")
+        if not 0 <= m <= n:
+            raise ValueError(f"m must satisfy 0 <= m <= {n}, got {m}")
         for k in ks:
             if not 1 <= k <= n:
                 raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
     records = []
     for k in ks:
         started = time.perf_counter()
-        query = {"command": "count", "quantity": q, "n": n, "m": args.m, "k": k}
+        query = {"command": "count", "quantity": q, "n": n, "m": m, "k": k}
         if q == "stirling":  # c(n, k) has no m
             del query["m"]
         if by_lambda:
             query["lambda"] = str(lam)
-        records.append(_record(query, formula(lam, args.m, k, **options), source, started))
+        records.append(_record(query, formula(lam, m, k, **options), source, started))
     return records
 
 
 def _decimal_string(value: Fraction, digits: int) -> str:
     scaled = value * 10**digits
     rounded = (scaled.numerator * 2 + scaled.denominator) // (2 * scaled.denominator)
-    text = str(rounded).rjust(digits + 1, "0")
+    text = _text(rounded).rjust(digits + 1, "0")
     if digits == 0:
         return text
     return f"{text[:-digits]}.{text[-digits:]}"
@@ -255,13 +276,16 @@ def _run_prob(args) -> list[dict]:
     q = args.quantity
     if args.decimal is not None and args.decimal < 0:
         raise ValueError(f"--decimal must be >= 0, got {args.decimal}")
+    if q in ("fpf", "moments") and args.m is not None:
+        raise ValueError(f"--m does not apply to {q}")
+    m = args.m or 0
     started = time.perf_counter()
     query = {"command": "prob", "quantity": q, "n": args.n}
     queries: list[tuple[dict, Fraction]]
     if q == "separation":
-        queries = [({**query, "m": args.m}, counting.sep_prob_ncycle(args.n, args.m))]
+        queries = [({**query, "m": m}, counting.sep_prob_ncycle(args.n, m))]
     elif q == "isolation":
-        queries = [({**query, "m": args.m}, counting.iso_prob_ncycle(args.n, args.m))]
+        queries = [({**query, "m": m}, counting.iso_prob_ncycle(args.n, m))]
     elif q == "fpf":
         queries = [(query, counting.fpf_probability(args.n))]
     else:  # moments
@@ -279,10 +303,11 @@ def _run_prob(args) -> list[dict]:
 
 def _run_table(args, cap) -> list[dict]:
     started = time.perf_counter()
+    m = args.m or 0
     if args.table_source == "oracle":
-        table = _oracle_table(args.n, args.m, args.kind, cap)
+        table = _oracle_table(args.n, m, args.kind, cap)
     else:
-        table = counting.build_count_table(args.n, args.m, kind=args.kind)
+        table = counting.build_count_table(args.n, m, kind=args.kind)
     data = table.to_json_dict()
     data["time_seconds"] = round(time.perf_counter() - started, 6)
     return [data]

@@ -22,7 +22,6 @@ Conventions used throughout:
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -167,74 +166,64 @@ def _check_nmk(n: int, m: int, k: int) -> None:
 def i_base(lam: IntegerPartition, mu: IntegerPartition, m: int) -> int:
     """Plane permutations with diagonal type lam and vertical of exact
     type mu fixing 1..m, on the boundary l(lam) + l(mu) = n + 1:
-    (t-1)! (d-1)! (n-m)! / ((b1-m)! prod mult_lam! prod_{v>1} mult_mu(v)!)
-    with t = l(lam), d = l(mu) and b1 the unit parts of mu.
+    (t-1)! (n-t)! m! (n-m)! binom(b1, m) / (prod mult_lam! prod mult_mu!)
+    with t = l(lam) and b1 the unit parts of mu.
 
-    Zero when mu has fewer than m unit parts.  A tempting variant of
-    this formula reads (n+1-m)! over (b1-m+1)!; it overcounts (already
-    on [3]: diagonal 2+1, vertical 2+1, m=0 gives 12 instead of 6).
-    The version here matches exhaustive enumeration on all of n <= 6.
+    The m-set weight binom(b1, m) counts the m-sets that a vertical of
+    type mu fixes; :func:`p_base` says why the formula holds.
     """
     _check_base_pair(lam, mu, m)
-    return _boundary_term(lam, mu, m, _lam_factor(lam, m, "i"), _mu_factor(mu, m, "i"))
+    return _boundary_term(lam, mu, m, _lam_factor(lam, m), _mu_factor(mu, m, "i"))
 
 
 def p_base(lam: IntegerPartition, mu: IntegerPartition, m: int) -> int:
     """Plane permutations with diagonal type lam and vertical of exact
     type mu separating 1..m, on the boundary l(lam) + l(mu) = n + 1:
-    (t-1)! (d-1)! (n-mm)! S / ((d-mm)! prod mult_lam!) with mm = max(m, 1)
-    and S the tuple sum :func:`_p_base_sum`.
+    (t-1)! (n-t)! m! (n-m)! e_m(mu) / (prod mult_lam! prod mult_mu!)
+    with t = l(lam) and e_m(mu) the m-th elementary symmetric polynomial
+    of mu's parts.
 
-    The sum runs over the size r of a distinguished root group of
-    vertical parts together with ordered splittings of the remaining
-    oversized parts.  The splittings that pick b of the P oversized
-    parts v left in r's pool weigh, together, one polynomial coefficient
-    b! (P-b)! / prod mult_v! * [x^b] prod_v (1 + (v+1) x)^mult_v, so S
-    costs one polynomial per r (see :func:`_p_base_sum`).  Its binomial
-    argument is l1 - b - 1 for r > 1 (the "minus" spelling).  The other
-    candidate, l1 - b + 1, misses the exhaustive enumeration on 120 of
-    the 250 boundary triples with n <= 6, so it is not implemented;
-    :func:`sepcycles.verify.resolve_p_base_reading` checks this spelling
-    against the census when asked, and nothing here runs it.
+    At m = 0 this is Goulden and Jackson's genus-0 count: (t-1)! (d-1)!
+    n! / (prod mult_lam! prod mult_mu!) pairs of an n-cycle s and a pi
+    of type mu with s * pi^-1 of type lam, where d = l(mu) = n + 1 - t.
+    Conjugating s and pi by one permutation keeps both types and moves
+    1..m onto every m-set equally often, so count(m) binom(n, m) is
+    count(0) times the m-sets that a vertical of type mu separates: one
+    element from each of m cycles, e_m(mu) ways.
     """
     _check_base_pair(lam, mu, m)
-    return _boundary_term(lam, mu, m, _lam_factor(lam, m, "p"), _mu_factor(mu, m, "p"))
+    return _boundary_term(lam, mu, m, _lam_factor(lam, m), _mu_factor(mu, m, "p"))
 
 
 # A boundary value is (lam part) * (mu part), one exact division.  On the
 # boundary l(mu) = n + 1 - l(lam) is fixed, so the lam part is shared by
 # every mu of one boundary row and the mu part by every lam of that length.
 
-def _lam_factor(lam: IntegerPartition, m: int, kind: str) -> tuple[int, int]:
+def _lam_factor(lam: IntegerPartition, m: int) -> tuple[int, int]:
     """The factor (numerator, denominator) of a boundary value that
-    depends on the diagonal type only.  A zero numerator: every value on
-    lam's boundary vanishes.
+    depends on the diagonal type only, the same for both kinds.
     """
     n, t = lam.n, lam.length
-    d = n + 1 - t
-    den = prod(map(factorial, lam.multiplicities().values()))
-    if kind == "i":
-        return factorial(t - 1) * factorial(d - 1) * factorial(n - m), den
-    # separating one element constrains nothing, exactly like m = 0, and
-    # the tuple sum presumes there is a first constrained element
-    mm = max(m, 1)
-    if mm > d:
-        return 0, 1
-    return factorial(t - 1) * factorial(d - 1) * factorial(n - mm), den * factorial(d - mm)
+    num = factorial(t - 1) * factorial(n - t) * factorial(m) * factorial(n - m)
+    return num, prod(map(factorial, lam.multiplicities().values()))
 
 
 def _mu_factor(mu: IntegerPartition, m: int, kind: str) -> tuple[int, int]:
     """The factor (numerator, denominator) of a boundary value that
-    depends on the vertical type only: the tuple sum for ``p``, the
-    multiplicity factorials for ``i``.
+    depends on the vertical type only: the m-set weight, e_m(mu) for
+    ``p`` or binom(b1, m) for ``i``, over the multiplicity factorials.
     """
-    if kind == "p":
-        return _p_base_sum(mu.parts, max(m, 1)), 1
     mult = mu.multiplicities()
-    b1 = mult.pop(1, 0)
-    if b1 < m:
-        return 0, 1
-    return 1, factorial(b1 - m) * prod(map(factorial, mult.values()))
+    if kind == "i":
+        weight = binom(mult.get(1, 0), m)
+    else:
+        # coefficients of x^0..x^m in prod (1 + part x)
+        coefficients = [1] + [0] * m
+        for part in mu.parts:
+            for i in range(m, 0, -1):
+                coefficients[i] += part * coefficients[i - 1]
+        weight = coefficients[m]
+    return weight, prod(map(factorial, mult.values()))
 
 
 def _boundary_term(
@@ -267,49 +256,6 @@ def _boundary_row(
         if factor[0]:
             row.append((mu, factor))
     return tuple(row)
-
-
-@lru_cache(maxsize=None)
-def _p_base_sum(mu_parts: tuple[int, ...], mm: int) -> int:
-    """The tuple sum of :func:`p_base`: it depends on the vertical type
-    and the effective m only, never on the diagonal type, so every lam on
-    the boundary with mu shares it.
-
-    For a root part r the pool holds the oversized parts v = part - 1 of
-    mu, less one copy of r - 1 when r > 1: mult_v copies of v, P in all.
-    Over the size-b sub-multisets ``chosen`` of the pool, the sum of
-    arrangements(chosen) * arrangements(rest) * prod (v + 1)^{c_v} is
-    b! (P - b)! / prod_v mult_v! * [x^b] prod_v (1 + (v + 1) x)^mult_v:
-    one polynomial per r, one checked division per (r, b).
-    """
-    d = len(mu_parts)
-    oversized = Counter(p - 1 for p in mu_parts if p > 1)
-    ell1 = sum(oversized.values())
-    total = 0
-    for r in sorted(set(mu_parts)):
-        delta = 0 if r == 1 else 1
-        pool = oversized.copy()
-        pool[r - 1] -= delta  # a root r > 1 takes one copy of r - 1
-        pool_size = ell1 - delta
-        top = min(mm - 1, pool_size)
-        coefficients = _pool_polynomial(pool, top)
-        den = prod(map(factorial, pool.values()))
-        for b in range(top + 1):
-            outer = binom(d - mm, ell1 - b - delta) * binom(mm - 1, b) * r
-            if outer:
-                orderings = factorial(b) * factorial(pool_size - b) * coefficients[b]
-                total += outer * exact_div(orderings, den)
-    return total
-
-
-def _pool_polynomial(pool: Counter, top: int) -> list[int]:
-    """Coefficients of x^0..x^top in prod_v (1 + (v + 1) x)^pool[v]."""
-    coefficients = [1] + [0] * top
-    for value, count in pool.items():
-        for _ in range(count):
-            for i in range(top, 0, -1):
-                coefficients[i] += (value + 1) * coefficients[i - 1]
-    return coefficients
 
 
 def _check_base_pair(lam: IntegerPartition, mu: IntegerPartition, m: int) -> None:
@@ -417,9 +363,7 @@ def _base_value(lam: IntegerPartition, m: int, kind: str) -> int:
     """The defect-0 entry: the boundary values summed over every vertical
     type mu of length n + 1 - l(lam)."""
     k0 = lam.n + 1 - lam.length
-    lam_factor = _lam_factor(lam, m, kind)
-    if not lam_factor[0]:
-        return 0
+    lam_factor = _lam_factor(lam, m)
     return sum(
         _boundary_term(lam, mu, m, lam_factor, mu_factor)
         for mu, mu_factor in _boundary_row(lam.n, k0, m, kind)

@@ -176,11 +176,12 @@ def _initial_records(records: list, lam: IntegerPartition, cap: int | None) -> N
 
 
 def resolve_p_base_reading(max_n: int = 6) -> str:
-    """Check the binomial spelling of :func:`counting.p_base` ("minus",
-    the one implemented) by its p-initial records: every boundary triple
-    (lam, mu, m) with n <= max_n against the census.  Returns "minus", or
-    raises ``RuntimeError`` naming the first triple that fails.  Nothing
-    is cached, and no closed form calls this.
+    """Check :func:`counting.p_base` against the census by its p-initial
+    records: every boundary triple (lam, mu, m) with n <= max_n.  Returns
+    "minus", the name callers know the checked boundary values by (the
+    spelling of the paper's tuple sum that they equal), or raises
+    ``RuntimeError`` naming the first triple that fails.  Nothing is
+    cached, and no closed form calls this.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")

@@ -29,7 +29,7 @@ def refuse_census(monkeypatch):
         monkeypatch.setattr(oracle, "_pair_pass", guarded)
         for module, name in (
             (oracle, "_census"), (oracle, "_census_index"), (counting, "_lambda_table"),
-            (counting, "_boundary_row"), (counting, "_p_base_sum"),
+            (counting, "_boundary_row"),
         ):
             fresh = lru_cache(maxsize=None)(getattr(module, name).__wrapped__)
             monkeypatch.setattr(module, name, fresh)

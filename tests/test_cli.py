@@ -8,6 +8,8 @@ import re
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -162,11 +164,11 @@ def test_count_missing_lambda_names_the_flag(capsys, quantity):
 
 # the subject flags each count quantity reads, and a value for every flag
 READS = {
-    "stirling": {"n", "k"}, "c-sep": {"n", "k"}, "c-fix": {"n", "k"},
-    "p-ncycle": {"n", "k"}, "i-ncycle": {"n", "k"},
-    "p-lambda": {"lambda", "k"}, "i-lambda": {"lambda", "k"}, "alpha": {"alpha"},
+    "stirling": {"n", "k"}, "c-sep": {"n", "k", "m"}, "c-fix": {"n", "k", "m"},
+    "p-ncycle": {"n", "k", "m"}, "i-ncycle": {"n", "k", "m"},
+    "p-lambda": {"lambda", "k", "m"}, "i-lambda": {"lambda", "k", "m"}, "alpha": {"alpha"},
 }
-FLAG_VALUES = {"n": "4", "lambda": "2+1+1", "alpha": "1,3", "k": "2"}
+FLAG_VALUES = {"n": "4", "lambda": "2+1+1", "alpha": "1,3", "k": "2", "m": "1"}
 
 
 @pytest.mark.parametrize("quantity, flag", [
@@ -187,6 +189,56 @@ def test_count_refuses_a_flag_the_quantity_does_not_read(capsys, monkeypatch, qu
     assert code == 2
     assert err == f"error: --{flag} does not apply to {quantity}\n"
     assert out == ""
+
+
+@pytest.mark.parametrize("quantity", ["fpf", "moments"])
+def test_prob_refuses_m_where_it_is_not_read(capsys, quantity):
+    code, out, err = run_cli(capsys, "prob", quantity, "--n", "4", "--m", "0")
+    assert code == 2
+    assert err == f"error: --m does not apply to {quantity}\n"
+    assert out == ""
+
+
+def test_m_defaults_to_zero_where_it_is_read(capsys):
+    # an absent --m is read as 0, the value its old default gave
+    for argv in (["count", "c-sep", "--n", "5", "--k", "2"],
+                 ["count", "p-lambda", "--lambda", "3+1+1", "--k", "all"],
+                 ["prob", "isolation", "--n", "5"],
+                 ["table", "--n", "4", "--kind", "i"]):
+        assert _without_time(run_json(capsys, *argv)) == _without_time(
+            run_json(capsys, *argv, "--m", "0"))
+
+
+def _without_time(payload):
+    records = payload if isinstance(payload, list) else [payload]
+    return [{k: v for k, v in r.items() if k != "time_seconds"} for r in records]
+
+
+def _from_digits(text):
+    """The int written in ``text``, read in chunks of 500 digits, each
+    under the interpreter's int-to-str conversion limit."""
+    value = 0
+    for start in range(0, len(text), 500):
+        chunk = text[start:start + 500]
+        value = value * 10**len(chunk) + int(chunk)
+    return value
+
+
+def test_values_longer_than_the_conversion_limit_are_written(capsys):
+    # str() of an int stops at 4300 digits by default; the CLI writes
+    # every digit without raising that limit
+    record = run_json(capsys, "count", "alpha", "--alpha", "1700")
+    assert len(record["value"]) > 4300
+    assert _from_digits(record["value"]) == factorial(1699) ** 2
+    record = run_json(capsys, "prob", "separation", "--n", "4", "--m", "2", "--decimal", "5000")
+    assert record["value"] == "11/18"
+    assert record["decimal"] == "0.6" + "1" * 4999
+    # zeros across the split, a sign, and both halves of a fraction
+    assert cli._text(10**600) == "1" + "0" * 600
+    assert cli._text(-(10**5000) - 7) == "-1" + "0" * 4999 + "7"
+    numerator, denominator = cli._text(Fraction(10**5000 + 1, 3**9000)).split("/")
+    assert numerator == "1" + "0" * 4999 + "1"
+    assert _from_digits(denominator) == 3**9000
 
 
 def test_prob_commands(capsys):
@@ -437,7 +489,8 @@ def test_verify_rejects_max_n_below_one(tmp_path, capsys, max_n):
 @pytest.mark.parametrize("quantity", ["p-ncycle", "i-ncycle", "c-sep", "c-fix", "stirling"])
 @pytest.mark.parametrize("k", ["all", "1"])
 def test_count_rejects_n_below_one(capsys, quantity, k):
-    code, out, err = run_cli(capsys, "count", quantity, "--n", "0", "--m", "0", "--k", k)
+    m = [] if quantity == "stirling" else ["--m", "0"]  # stirling refuses --m
+    code, out, err = run_cli(capsys, "count", quantity, "--n", "0", *m, "--k", k)
     assert code == 2
     assert "--n must be >= 1" in err
     assert out == ""

@@ -13,7 +13,6 @@ from sepcycles import cli, counting, oracle
 from sepcycles.counting import (
     CountTable,
     _lambda_table,
-    _p_base_sum,
     alpha_separated_count,
     binom,
     build_count_table,
@@ -209,9 +208,9 @@ def test_base_values_forced_cases():
 
 def test_spelling_protocol(monkeypatch):
     # the protocol as the README states it: at n <= 6 there are 250
-    # boundary triples (lam, mu, m); p_base, the minus spelling, matches
-    # the census on all of them, and the plus spelling, kept only as the
-    # reference sum below, misses exactly 120
+    # boundary triples (lam, mu, m); p_base and the paper's tuple sum in
+    # its minus spelling match the census on all of them, and the plus
+    # spelling misses exactly 120
     triples = [
         (lam, mu, m)
         for n in range(1, 7)
@@ -221,22 +220,18 @@ def test_spelling_protocol(monkeypatch):
         for m in range(0, n + 1)
     ]
     assert len(triples) == 250
-
-    def plus(lam, mu, m):
-        mu_factor = (reference_p_base_sum(mu.parts, max(m, 1), "plus"), 1)
-        return counting._boundary_term(lam, mu, m, counting._lam_factor(lam, m, "p"), mu_factor)
-
-    mismatches = {"minus": 0, "plus": 0}
+    mismatches = {"p_base": 0, "minus": 0, "plus": 0}
     for lam, mu, m in triples:
         expected = oracle.oracle_p_by_vertical_type(lam, mu, m)
-        mismatches["minus"] += p_base(lam, mu, m) != expected
-        mismatches["plus"] += plus(lam, mu, m) != expected
-    assert mismatches == {"minus": 0, "plus": 120}
+        mismatches["p_base"] += p_base(lam, mu, m) != expected
+        for reading in ("minus", "plus"):
+            mismatches[reading] += paper_p_base(lam, mu, m, reading) != expected
+    assert mismatches == {"p_base": 0, "minus": 0, "plus": 120}
     # both diagonals share the vertical type 2+1+1 and m = 2, hence one
     # tuple sum; each keeps its own prefactor
     mu = P(2, 1, 1)
     assert [p_base(lam, mu, 2) for lam in (P(3, 1), P(2, 2))] == [20, 10]
-    assert [plus(lam, mu, 2) for lam in (P(3, 1), P(2, 2))] == [12, 6]
+    assert [paper_p_base(lam, mu, 2, "plus") for lam in (P(3, 1), P(2, 2))] == [12, 6]
     # the check on request: it passes, and fails on one changed value
     assert resolve_p_base_reading(max_n=6) == "minus"
     real = counting.p_base
@@ -274,12 +269,13 @@ def _arrangements(counter):
     return factorial(sum(counter.values())) // prod(map(factorial, counter.values()))
 
 
+@lru_cache(maxsize=None)
 def reference_p_base_sum(mu_parts, mm, reading):
-    """The tuple sum of p_base by its definition: one term per root part
-    r, size b and size-b sub-multiset of the root's pool.  ``reading``
-    "minus" is the spelling p_base implements; "plus", the binomial
-    argument l1 - b + 1 for r > 1, is the rejected one and lives only
-    here."""
+    """The paper's tuple sum for the boundary value, by its definition:
+    one term per root part r, size b and size-b sub-multiset of the
+    root's pool.  ``reading`` "minus" is the binomial argument
+    l1 - b - 1 for r > 1, which matches the census; "plus", l1 - b + 1,
+    is the rejected spelling."""
     d = len(mu_parts)
     oversized = Counter(p - 1 for p in mu_parts if p > 1)
     ell1 = sum(oversized.values())
@@ -299,6 +295,19 @@ def reference_p_base_sum(mu_parts, mm, reading):
     return total
 
 
+def paper_p_base(lam, mu, m, reading):
+    """The boundary value as the paper spells it: the tuple sum times
+    (t-1)! (d-1)! (n-mm)! / ((d-mm)! prod mult_lam!), with t = l(lam),
+    d = l(mu) and mm = max(m, 1) (separating one element constrains
+    nothing); 0 when mm > d."""
+    n, t, d, mm = lam.n, lam.length, mu.length, max(m, 1)
+    if mm > d:
+        return 0
+    num = factorial(t - 1) * factorial(d - 1) * factorial(n - mm)
+    den = factorial(d - mm) * prod(map(factorial, lam.multiplicities().values()))
+    return exact_div(num * reference_p_base_sum(mu.parts, mm, reading), den)
+
+
 def _elementary(parts, m):
     """e_m of ``parts``: the sum over m-subsets of the product of parts."""
     poly = [1]  # coefficients of prod (1 + v x)
@@ -313,7 +322,9 @@ def test_boundary_values_by_conjugation():
     # times the m-sets that pi separates (e_m of mu's parts) or fixes
     # (C(b1, m), b1 the unit parts of mu).  On the boundary count(0) is
     # (t-1)! (d-1)! n! / (prod mult_lam! prod mult_mu!), t = l(lam), d = l(mu).
-    # This holds p_base past the n <= 6 of resolve_p_base_reading.
+    # p_base is this formula; the paper's tuple sum, a second method, is
+    # held to it past the n <= 6 of resolve_p_base_reading.
+    triples = 0
     for n in range(1, 13):
         for lam in partitions_of(n):
             for mu in partitions_of(n):
@@ -329,6 +340,9 @@ def test_boundary_values_by_conjugation():
                     case = (str(lam), str(mu), m)
                     assert p_base(lam, mu, m) * comb(n, m) == base * _elementary(mu.parts, m), case
                     assert i_base(lam, mu, m) * comb(n, m) == base * comb(b1, m), case
+                    assert paper_p_base(lam, mu, m, "minus") == p_base(lam, mu, m), case
+                    triples += 1
+    assert triples == 12764
     # the same symmetry holds off the boundary: hold the enumeration to it
     for n in range(1, 8):
         for lam in partitions_of(n):
@@ -343,35 +357,6 @@ def test_boundary_values_by_conjugation():
                     i = oracle.oracle_i_by_vertical_type(lam, mu, m)
                     assert p * comb(n, m) == p0 * _elementary(mu.parts, m), case
                     assert i * comb(n, m) == i0 * comb(b1, m), case
-
-
-def test_p_base_sum_matches_sub_multiset_enumeration():
-    # the coefficient identity against the sum it replaces, on every
-    # vertical type with n <= 12 and every effective m
-    cases = 0
-    for n in range(1, 13):
-        for mu in partitions_of(n):
-            for mm in range(1, n + 1):
-                expected = reference_p_base_sum(mu.parts, mm, "minus")
-                assert _p_base_sum.__wrapped__(mu.parts, mm) == expected, (mu, mm)
-                cases += 1
-    assert cases == sum(n * len(partitions_of(n)) for n in range(1, 13))
-
-
-def test_p_base_sum_division_is_checked(monkeypatch):
-    # mu = 3+3+3, mm = 2: the root 3 leaves the pool {2, 2}, so the b = 1
-    # term is 1! 1! [x^1] (1 + 3x)^2 / 2! = 6 / 2.  One more in that
-    # coefficient makes the division inexact; it must raise, not round.
-    assert _p_base_sum.__wrapped__((3, 3, 3), 2) == reference_p_base_sum(
-        (3, 3, 3), 2, "minus")
-    real = counting._pool_polynomial
-
-    def skewed(pool, top):
-        return [c + (b == 1) for b, c in enumerate(real(pool, top))]
-
-    monkeypatch.setattr(counting, "_pool_polynomial", skewed)
-    with pytest.raises(ArithmeticError, match=re.escape("7 / 2 leaves 1")):
-        _p_base_sum.__wrapped__((3, 3, 3), 2)
 
 
 def test_lambda_pipeline_matches_ncycle_closed_form():
