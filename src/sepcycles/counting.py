@@ -56,20 +56,16 @@ def exact_div(num: int, den: int) -> int:
 # ---------------------------------------------------------------------------
 # Stirling numbers and their separating / fixing refinements
 
-_STIRLING_ROWS: list[tuple[int, ...]] = [(1,)]
-
-
-def _stirling_row(n: int) -> tuple[int, ...]:
-    """Row n of :func:`stirling_c`, extending the rows built so far one
-    at a time, so any n is reached without recursion.
-    """
-    rows = _STIRLING_ROWS
-    while len(rows) <= n:
-        prev = rows[-1]
-        j = len(prev) - 1
-        # c(j + 1, k) = c(j, k - 1) + j * c(j, k), with c(j, j + 1) = 0
-        rows.append((0, *(a + j * b for a, b in zip(prev, (*prev[1:], 0)))))
-    return rows[n]
+@lru_cache(maxsize=None)
+def _separating_row(n: int, m: int) -> tuple[int, ...]:
+    """Entries k = 0..n of :func:`c_sep` at (n, m), the coefficients of
+    x^m (x + m)(x + m + 1) ... (x + n - 1): 1..m start m cycles, then each
+    element j + 1 > m opens a cycle or follows one of the j placed ones."""
+    row = (0,) * m + (1,)
+    for j in range(m, n):
+        # times (x + j): c(j + 1, k) = c(j, k - 1) + j * c(j, k)
+        row = (0, *(a + j * b for a, b in zip(row, (*row[1:], 0))))
+    return row
 
 
 def stirling_c(n: int, k: int) -> int:
@@ -78,28 +74,16 @@ def stirling_c(n: int, k: int) -> int:
     """
     if n < 0 or k < 0:
         raise ValueError(f"n and k must be >= 0, got {n}, {k}")
-    if k > n:
-        return 0
-    return _stirling_row(n)[k]
+    return _separating_row(n, 0)[k] if k <= n else 0
 
 
 def c_sep(n: int, k: int, m: int) -> int:
-    """Permutations of [n] with k cycles and 1..m in distinct cycles.
-
-    Summed over how many of the other n - m elements share a cycle with
-    [m]: choose them, thread them into the m distinguished cycles, and
-    let the rest form k - m further cycles.
+    """Permutations of [n] with k cycles and 1..m in distinct cycles: the
+    coefficient of x^k in x^m (x + m)(x + m + 1) ... (x + n - 1), one
+    cached row per (n, m).  At m = 0 it is :func:`stirling_c`.
     """
     _check_km(n, k, m)
-    if m == 0:
-        return stirling_c(n, k)
-    total = 0
-    for d in range(0, n - m + 1):
-        lower = stirling_c(n - m - d, k - m) if k - m >= 0 else 0
-        if lower == 0:
-            continue
-        total += binom(n - m, d) * binom(d + m - 1, d) * factorial(d) * lower
-    return total
+    return _separating_row(n, m)[k] if k <= n else 0
 
 
 def c_fix(n: int, k: int, m: int) -> int:
@@ -274,13 +258,14 @@ def _check_base_pair(lam: IntegerPartition, mu: IntegerPartition, m: int) -> Non
 # ---------------------------------------------------------------------------
 # general diagonal cycle type: downward recurrences
 #
-# Only even defects n + 1 - l(lambda) - k are filled, in increasing
-# order.  The sign of s * pi^-1 forces the defect to be even, and both
-# recurrence inputs sit at a defect smaller by an even amount: raising k
-# by 2j, or refining the diagonal type into 2j more parts at fixed k.  So
-# an odd-defect entry is a sum of zeros; it stays absent and reads as 0.
-# Defect-0 entries come from the initial values; negative defect is
-# impossible (a plane permutation always satisfies C(pi) + C(D) <= n + 1).
+# Each diagonal type lambda has one row, indexed by defect / 2, where the
+# defect is n + 1 - l(lambda) - k, filled in increasing order.  The sign
+# of s * pi^-1 forces the defect to be even, and both recurrence inputs
+# sit at a defect smaller by an even amount: raising k by 2j, or refining
+# the diagonal type into 2j more parts at fixed k.  So an odd-defect
+# entry is a sum of zeros, and a row has no place for it.  Entry 0 comes
+# from the initial values; negative defect is impossible (a plane
+# permutation always satisfies C(pi) + C(D) <= n + 1).
 
 def _weight_p(m: int, k: int, j: int) -> int:
     return m * binom(k + 2 * j - m, 2 * j) + binom(k + 2 * j - m, 2 * j + 1)
@@ -327,36 +312,27 @@ def _split_graph(
 
 
 @lru_cache(maxsize=None)
-def _lambda_table(n: int, m: int, kind: str) -> dict[tuple[tuple[int, ...], int], int]:
+def _lambda_table(n: int, m: int, kind: str) -> dict[tuple[int, ...], list[int]]:
+    """One row per diagonal type lam (keyed by its parts): entry h is the
+    value at defect 2h, k = n + 1 - l(lam) - 2h >= 1.  The rows grow
+    together from the boundary values, one defect at a time; entry h reads
+    entries h - j of lam's row (k + 2j) and of its splits into 2j more
+    parts (same k)."""
     weight = _weight_p if kind == "p" else _weight_i
     splits = _split_graph(n)
-    pairs = [
-        (lam, k)
-        for lam in partitions_of(n)
-        for k in range(n + 1 - lam.length, 0, -2)
-    ]
-    pairs.sort(key=lambda pk: n + 1 - pk[0].length - pk[1])
-    table: dict[tuple[tuple[int, ...], int], int] = {}
-    for lam, k in pairs:
-        k0 = n + 1 - lam.length
-        defect = k0 - k
-        if defect == 0:
-            table[(lam.parts, k)] = _base_value(lam, m, kind)
-            continue
-        numerator = 0
-        j = 1
-        while k + 2 * j <= k0:
-            w = weight(m, k, j)
-            if w:
-                numerator += w * table.get((lam.parts, k + 2 * j), 0)
-            j += 1
-        # a split into 2j + 1 pieces lowers the defect by 2j; past the
-        # defect it would be negative, so only the first defect / 2 groups
-        for group in splits[lam.parts][:defect // 2]:
-            for mu_parts, kappa in group:
-                numerator += kappa * table.get((mu_parts, k), 0)
-        table[(lam.parts, k)] = exact_div(numerator, defect)
-    return table
+    rows = {lam.parts: [_base_value(lam, m, kind)] for lam in partitions_of(n)}
+    for h in range(1, (n + 1) // 2):
+        for lam, row in rows.items():
+            k = n + 1 - len(lam) - 2 * h
+            if k < 1:
+                continue
+            numerator = sum(weight(m, k, j) * row[h - j] for j in range(1, h + 1))
+            # a split into 2j + 1 pieces lowers the defect by 2j; past the
+            # defect it would be negative, so only the first h groups
+            for j, group in enumerate(splits[lam][:h], 1):
+                numerator += sum(kappa * rows[mu][h - j] for mu, kappa in group)
+            row.append(exact_div(numerator, 2 * h))
+    return rows
 
 
 def _base_value(lam: IntegerPartition, m: int, kind: str) -> int:
@@ -370,7 +346,7 @@ def _base_value(lam: IntegerPartition, m: int, kind: str) -> int:
     )
 
 
-def _recurrence_table(n: int, m: int, kind: str) -> dict[tuple[tuple[int, ...], int], int]:
+def _recurrence_table(n: int, m: int, kind: str) -> dict[tuple[int, ...], list[int]]:
     """The cached table of one (n, m, kind); n and m are checked by the
     caller.
     """
@@ -393,7 +369,9 @@ def _check_base(base: str) -> None:
 
 def _lambda_value(lam: IntegerPartition, m: int, k: int, kind: str) -> int:
     _check_nmk(lam.n, m, k)
-    return _recurrence_table(lam.n, m, kind).get((lam.parts, k), 0)
+    defect = lam.n + 1 - lam.length - k  # odd or negative: no entry, 0
+    row = _recurrence_table(lam.n, m, kind)[lam.parts]
+    return row[defect // 2] if defect >= 0 and defect % 2 == 0 else 0
 
 
 def p_lambda(lam: IntegerPartition, m: int, k: int, base: str = "closed_form") -> int:
@@ -607,8 +585,8 @@ def build_count_table(n: int, m: int, kind: str = "p", base: str = "closed_form"
     table = _recurrence_table(n, m, kind)
     entries: dict[tuple[IntegerPartition, int], int] = {}
     for lam in partitions_of(n):
-        for k in range(1, n + 1):
-            value = table.get((lam.parts, k), 0)
+        k0 = n + 1 - lam.length
+        for h, value in enumerate(table[lam.parts]):
             if value:
-                entries[(lam, k)] = value
+                entries[(lam, k0 - 2 * h)] = value
     return CountTable(n=n, m=m, kind=kind, source="recurrence", entries=entries)

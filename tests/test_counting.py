@@ -13,6 +13,7 @@ from sepcycles import cli, counting, oracle
 from sepcycles.counting import (
     CountTable,
     _lambda_table,
+    _separating_row,
     alpha_separated_count,
     binom,
     build_count_table,
@@ -308,6 +309,54 @@ def paper_p_base(lam, mu, m, reading):
     return exact_div(num * reference_p_base_sum(mu.parts, mm, reading), den)
 
 
+@lru_cache(maxsize=None)
+def reference_stirling_row(n):
+    """Row n of the Stirling numbers c(n, k), k = 0..n, extended from
+    row n - 1 by c(n, k) = c(n - 1, k - 1) + (n - 1) c(n - 1, k)."""
+    if n == 0:
+        return (1,)
+    prev = reference_stirling_row(n - 1)
+    return tuple(
+        (prev[k - 1] if k else 0) + (n - 1) * (prev[k] if k < n else 0) for k in range(n + 1)
+    )
+
+
+def reference_c_sep(n, k, m):
+    """Permutations of [n] with k cycles and 1..m in distinct cycles, as
+    a sum over the d other elements that share a cycle with 1..m: choose
+    them, thread them into the m cycles (binom(d + m - 1, d) d! ways),
+    and let the other n - m - d elements form k - m cycles."""
+    total = 0
+    for d in range(n - m + 1):
+        rest = reference_stirling_row(n - m - d)
+        if 0 <= k - m < len(rest):
+            total += comb(n - m, d) * binom(d + m - 1, d) * factorial(d) * rest[k - m]
+    return total
+
+
+def test_separating_rows_against_the_convolution():
+    # stirling_c and c_sep read one generating-function row per (n, m);
+    # hold them to the incremental Stirling rows and the convolution sum
+    checks = 0
+    for n in range(41):
+        row = reference_stirling_row(n)
+        assert [stirling_c(n, k) for k in range(n + 2)] == [*row, 0], n
+        for m in range(n + 1):
+            for k in range(n + 2):
+                assert c_sep(n, k, m) == reference_c_sep(n, k, m), (n, k, m)
+                checks += 1
+    assert checks == 24682
+
+
+def test_one_query_keeps_one_row(monkeypatch):
+    # a count at n = 600 keeps the one row it reads, not every row below it
+    for query in (lambda: stirling_c(600, 3), lambda: p_ncycle(600, 1, 2)):
+        fresh = lru_cache(maxsize=None)(_separating_row.__wrapped__)
+        monkeypatch.setattr(counting, "_separating_row", fresh)
+        assert query() > 0
+        assert fresh.cache_info().currsize == 1
+
+
 def _elementary(parts, m):
     """e_m of ``parts``: the sum over m-subsets of the product of parts."""
     poly = [1]  # coefficients of prod (1 + v x)
@@ -523,12 +572,15 @@ def test_recurrence_tables_pinned_past_the_oracle():
 @pytest.mark.parametrize("n", range(1, 8))
 def test_odd_defects_are_zero_and_never_stored(n):
     # the sign of s * pi^-1 forces n + 1 - l(lam) - l(mu) to be even: the
-    # census holds no pair of odd defect, and the recurrence stores none
+    # census holds no pair of odd defect, and the recurrence stores none:
+    # each lam's row holds one entry per even defect with k >= 1
     assert all((n + 1 - len(lam) - len(mu)) % 2 == 0 for lam, mu, _, _ in oracle._census(n))
     for kind in "pi":
         for m in range(0, min(n, 3) + 1):
             table = _lambda_table(n, m, kind)
-            assert all((n + 1 - len(lam) - k) % 2 == 0 for lam, k in table), (kind, m)
+            assert {lam: len(row) for lam, row in table.items()} == {
+                lam.parts: (n + 2 - lam.length) // 2 for lam in partitions_of(n)
+            }, (kind, m)
 
 
 @pytest.mark.parametrize("kind", ["p", "i"])
