@@ -17,8 +17,13 @@ writes it once, to stdout or to ``--out``, after the command succeeded.
 
 A ``count``, ``prob`` or ``table`` answered by formula imports only this
 module, :mod:`~sepcycles.counting` and :mod:`~sepcycles.partitions`; the
-oracle is imported where an enumeration runs or a cap is checked, and
-:mod:`~sepcycles.verify` only by ``verify``.
+oracle is imported where an enumeration runs, and :mod:`~sepcycles.verify`
+only by ``verify``.
+
+Every size is bounded, and refused before any work past its bound:
+``ROW_MAX_N`` for a count read off one row over k, ``TABLE_MAX_N`` for a
+count or table read off a recurrence table, and the oracle's own hard
+maximum (``CENSUS_MAX_N`` here) for an enumeration.
 """
 from __future__ import annotations
 
@@ -51,35 +56,32 @@ COUNTS = {
     "alpha": (counting.alpha_separated_count, "closed_form", "oracle_alpha", ("alpha",)),
 }
 PROB_QUANTITIES = ("separation", "isolation", "fpf", "moments")
-# oracle.DEFAULT_CAP, oracle.HARD_CAP and the names of verify.SUITES,
-# spelled out so that building the parser imports neither module (a test
-# holds them equal)
-CAP_HELP = "oracle enumeration cap (default 7, hard maximum 8)"
+# oracle.HARD_CAP and the names of verify.SUITES, spelled out so that
+# building the parser imports neither module (a test holds them equal)
+CENSUS_MAX_N = 8
 VERIFY_SUITES = ("closed-forms", "recurrences", "identities")
+# The largest n a formula command accepts.  One row over k costs about
+# n^2 big-integer steps: a cold `count stirling --n 3000 --k 3` took 4.5 s
+# and 30 MB, n = 6000 35 s.  A recurrence table grows about 1.35x per
+# step of n: a cold `table --n 36 --m 3` took 16 s and 570 MB, so n = 60
+# would run for hours (2-core x86 host, Python 3.11).
+ROW_MAX_N = 3000
+TABLE_MAX_N = 36
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = _load_config(args.config) if args.config else {}
-        out_format = getattr(args, "format", None) or config.get("format", "json")
-        if out_format not in ("json", "csv"):
-            raise ValueError(f"unsupported format {out_format!r}")
-        cap = args.cap if getattr(args, "cap", None) is not None else config.get("oracle_cap")
-        if cap is not None:  # refuse a cap outside 1..HARD_CAP on every command
-            from . import oracle
-
-            oracle.active_cap(cap)
         if args.command == "verify":
-            code, text = _run_verify(args, cap)
+            code, text = _run_verify(args)
         else:
             if args.command == "count":
-                records = _run_count(args, cap)
+                records = _run_count(args)
             elif args.command == "prob":
                 records = _run_prob(args)
             else:
-                records = _run_table(args, cap)
-            code, text = 0, _render(records, out_format)
+                records = _run_table(args)
+            code, text = 0, _render(records, args.format)
         # the one writer: a refused or failed command leaves --out untouched
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="") as stream:
@@ -101,26 +103,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", metavar="FILE", help="write output to FILE")
-    common.add_argument("--config", metavar="FILE",
-                        help="key=value config file (oracle_cap, format)")
     formatted = argparse.ArgumentParser(add_help=False, parents=[common])
-    formatted.add_argument("--format", choices=["json", "csv"], default=None,
-                           help="output format (default json, or the config value)")
+    formatted.add_argument("--format", choices=["json", "csv"], default="json",
+                           help="output format (default json)")
 
     p_count = sub.add_parser("count", parents=[formatted], help="exact counts")
     p_count.add_argument("quantity", choices=COUNTS)
-    p_count.add_argument("--n", type=int)
+    p_count.add_argument("--n", type=int, help=f"size, at most {ROW_MAX_N}")
     p_count.add_argument("--m", type=int)
     p_count.add_argument("--k", default=None,
                          help="vertical cycle count, or 'all' for one record per k")
     p_count.add_argument("--lambda", metavar="PARTITION",
-                         help="diagonal cycle type, e.g. 2+1+1 or 1^2 2^1")
+                         help="diagonal cycle type, e.g. 2+1+1 or 1^2 2^1, "
+                              f"of size at most {TABLE_MAX_N}")
     p_count.add_argument("--alpha", metavar="COMPOSITION",
                          help="composition, e.g. 1,3")
     p_count.add_argument("--source", choices=["formula", "oracle"], default="formula",
-                         help="compute by formula/recurrence or by enumeration "
-                              "(no enumeration for stirling, c-sep, c-fix)")
-    p_count.add_argument("--cap", type=int, default=None, help=CAP_HELP)
+                         help=f"oracle: enumeration, hard maximum {CENSUS_MAX_N} (none "
+                              "for stirling, c-sep, c-fix); formula: closed form or "
+                              "recurrence")
 
     p_prob = sub.add_parser("prob", parents=[formatted], help="exact probabilities")
     p_prob.add_argument("quantity", choices=PROB_QUANTITIES)
@@ -131,47 +132,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", parents=[formatted],
                              help="full (lambda, k) table for one (n, m)")
-    p_table.add_argument("--n", type=int, required=True)
+    p_table.add_argument("--n", type=int, required=True,
+                         help=f"size, at most {TABLE_MAX_N}")
     p_table.add_argument("--m", type=int)
     p_table.add_argument("--kind", choices=["p", "i"], default="p")
     p_table.add_argument("--table-source", choices=["recurrence", "oracle"],
-                         default="recurrence")
-    p_table.add_argument("--cap", type=int, default=None, help=CAP_HELP)
+                         default="recurrence",
+                         help=f"oracle: enumeration, hard maximum {CENSUS_MAX_N}; "
+                              "recurrence: the defect recurrence")
 
     p_verify = sub.add_parser("verify", parents=[common],
                               help="run formula-vs-oracle suites")
-    p_verify.add_argument("--max-n", type=int, required=True)
+    p_verify.add_argument("--max-n", type=int, required=True,
+                          help=f"largest n checked, at most {CENSUS_MAX_N}, the "
+                               f"census's hard maximum (about 11 s at {CENSUS_MAX_N})")
     p_verify.add_argument("--suite", choices=[*VERIFY_SUITES, "all"],
                           default="all")
-    p_verify.add_argument("--cap", type=int, default=None, help=CAP_HELP)
     p_verify.add_argument("--quiet", action="store_true",
                           help="print failures and the summary only")
     return parser
-
-
-def _load_config(path: str) -> dict:
-    config: dict = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key == "oracle_cap":
-                try:
-                    config[key] = int(value)
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{lineno}: oracle_cap must be an integer, got {value!r}"
-                    ) from None
-            elif key == "format":
-                config[key] = value
-            else:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-    return config
 
 
 def _text(value: int | Fraction) -> str:
@@ -201,7 +180,7 @@ def _record(query: dict, value, source: str, started: float) -> dict:
     }
 
 
-def _run_count(args, cap) -> list[dict]:
+def _run_count(args) -> list[dict]:
     q = args.quantity
     formula, source, enumeration, reads = COUNTS[q]
     if args.source == "oracle" and enumeration is None:
@@ -216,16 +195,15 @@ def _run_count(args, cap) -> list[dict]:
             raise ValueError(f"--n must be >= 1, got {args.n}")
     m = args.m or 0
 
-    options = {}
     if args.source == "oracle":
         from . import oracle
 
-        formula, source, options = getattr(oracle, enumeration), "oracle", {"cap": cap}
+        formula, source = getattr(oracle, enumeration), "oracle"
     if q == "alpha":  # no k: one record for the composition
         alpha = Composition.from_string(args.alpha)
         started = time.perf_counter()
         return [_record({"command": "count", "quantity": q, "alpha": str(alpha)},
-                        formula(alpha, **options), source, started)]
+                        formula(alpha), source, started)]
 
     by_lambda = "lambda" in reads
     if by_lambda:
@@ -233,6 +211,9 @@ def _run_count(args, cap) -> list[dict]:
     else:
         lam = IntegerPartition((args.n,))
     n = lam.n
+    limit = TABLE_MAX_N if by_lambda else ROW_MAX_N
+    if n > limit:
+        raise ValueError(f"n must be <= {limit} for {q}, got {n}")
     if args.k == "all":
         ks = range(0 if q == "stirling" else 1, n + 1)
     else:
@@ -240,17 +221,10 @@ def _run_count(args, cap) -> list[dict]:
             ks = [int(args.k)]
         except ValueError:
             raise ValueError(f"--k must be an integer or 'all', got {args.k!r}") from None
-    if enumeration is not None:
-        # the formula's domain, in its order (m, then k), whichever source
-        # answers: i_ncycle divides by n - m, and the enumeration, which
-        # counts any k, would answer 0 outside 1 <= k <= n
-        if q == "i-ncycle" and not 0 <= m < n:
-            raise ValueError(f"m must satisfy 0 <= m < n, got m={m}, n={n}")
-        if not 0 <= m <= n:
-            raise ValueError(f"m must satisfy 0 <= m <= {n}, got {m}")
-        for k in ks:
-            if not 1 <= k <= n:
-                raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
+    if q == "i-ncycle" and not 0 <= m < n:
+        # i_ncycle divides by n - m; the enumeration, which could count
+        # m = n, refuses it the same way
+        raise ValueError(f"m must satisfy 0 <= m < n, got m={m}, n={n}")
     records = []
     for k in ks:
         started = time.perf_counter()
@@ -259,7 +233,7 @@ def _run_count(args, cap) -> list[dict]:
             del query["m"]
         if by_lambda:
             query["lambda"] = str(lam)
-        records.append(_record(query, formula(lam, m, k, **options), source, started))
+        records.append(_record(query, formula(lam, m, k), source, started))
     return records
 
 
@@ -301,11 +275,13 @@ def _run_prob(args) -> list[dict]:
     return records
 
 
-def _run_table(args, cap) -> list[dict]:
+def _run_table(args) -> list[dict]:
     started = time.perf_counter()
     m = args.m or 0
+    if args.n > TABLE_MAX_N:
+        raise ValueError(f"n must be <= {TABLE_MAX_N} for table, got {args.n}")
     if args.table_source == "oracle":
-        table = _oracle_table(args.n, m, args.kind, cap)
+        table = _oracle_table(args.n, m, args.kind)
     else:
         table = counting.build_count_table(args.n, m, kind=args.kind)
     data = table.to_json_dict()
@@ -313,7 +289,7 @@ def _run_table(args, cap) -> list[dict]:
     return [data]
 
 
-def _oracle_table(n: int, m: int, kind: str, cap: int | None) -> counting.CountTable:
+def _oracle_table(n: int, m: int, kind: str) -> counting.CountTable:
     """The (lambda, k) table of :func:`counting.build_count_table`, every
     entry read off the enumeration instead."""
     from . import oracle
@@ -322,17 +298,17 @@ def _oracle_table(n: int, m: int, kind: str, cap: int | None) -> counting.CountT
     entries = {}
     for lam in partitions_of(n):
         for k in range(1, n + 1):
-            value = value_of(lam, m, k, cap=cap)
+            value = value_of(lam, m, k)
             if value:
                 entries[(lam, k)] = value
     return counting.CountTable(n=n, m=m, kind=kind, source="oracle", entries=entries)
 
 
-def _run_verify(args, cap) -> tuple[int, str]:
+def _run_verify(args) -> tuple[int, str]:
     from . import verify
 
     suites = list(verify.SUITES) if args.suite == "all" else [args.suite]
-    records = verify.run_suites(suites, args.max_n, cap=cap)
+    records = verify.run_suites(suites, args.max_n)
     failures = [r for r in records if not r.ok]
     lines = [r.line() for r in records if not (r.ok and args.quiet)]
     lines.append(f"{len(records)} checks, {len(failures)} mismatches "

@@ -31,11 +31,10 @@ inverses come from the 0-based kernel in :mod:`sepcycles.perm`; the
 oracle imports nothing else from the package but
 :mod:`sepcycles.partitions`, and never the counting it checks.
 
-The enumeration is exact or it refuses: queries above the configured cap
-(default 7, hard maximum 8, where every census code fits one byte and
-every id 16 bits) raise :class:`OracleCapError`, and a census pass
-above the hard maximum raises :class:`ValueError` before building
-anything.  No sampling.
+The enumeration is exact or it refuses: it stops at ``HARD_CAP`` = 8,
+where every census code fits one byte and every id 16 bits.  A query
+above it raises :class:`OracleCapError`, and a census pass above it
+raises :class:`ValueError`, each before building anything.  No sampling.
 """
 from __future__ import annotations
 
@@ -57,41 +56,28 @@ from .perm import (
     valid_cut_mask,
 )
 
-DEFAULT_CAP = 7
 HARD_CAP = 8
 
 
 class OracleCapError(ValueError):
-    """Enumeration refused: n exceeds the active cap."""
+    """Enumeration refused: n exceeds the census's hard maximum."""
 
-    def __init__(self, n: int, cap: int):
-        super().__init__(
-            f"oracle refuses n={n}: cap is {cap} "
-            f"(raise it with --cap or cap=, hard maximum {HARD_CAP})"
-        )
+    def __init__(self, n: int):
+        super().__init__(f"oracle refuses n={n}: the census stops at n={HARD_CAP}")
         self.n = n
-        self.cap = cap
 
 
-def active_cap(cap: int | None) -> int:
-    """The cap in force: ``cap``, or the default when None.  A cap below
-    1 (it would refuse every n) or above the hard maximum raises
-    :class:`ValueError`.
-    """
-    limit = DEFAULT_CAP if cap is None else cap
-    if limit < 1:
-        raise ValueError(f"cap {limit} is below 1: it would refuse every n")
-    if limit > HARD_CAP:
-        raise ValueError(f"cap {limit} exceeds the hard maximum {HARD_CAP}")
-    return limit
-
-
-def _check_cap(n: int, cap: int | None) -> None:
-    limit = active_cap(cap)
+def _check(n: int, m: int = 0, k: int | None = None) -> None:
+    """Refuse a query outside the census before any census is built: n
+    outside 1..HARD_CAP, m outside 0..n, k (when given) outside 1..n."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n > limit:
-        raise OracleCapError(n, limit)
+    if n > HARD_CAP:
+        raise OracleCapError(n)
+    if not 0 <= m <= n:
+        raise ValueError(f"m must satisfy 0 <= m <= {n}, got {m}")
+    if k is not None and not 1 <= k <= n:
+        raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
 
 
 # ---------------------------------------------------------------------------
@@ -409,51 +395,47 @@ _TYPE, _CYCLES, _SEPARATED, _FIXED, _COUNT = range(5)  # the columns of a _censu
 # ---------------------------------------------------------------------------
 # public queries
 
-def _pairs(lam: IntegerPartition, m: int, cap: int | None, column: int, want, prefix: int) -> int:
+def _pairs(lam: IntegerPartition, m: int, column: int, want, prefix: int) -> int:
     """Pairs with diagonal type lam whose vertical has ``want`` in census
-    ``column`` (``_TYPE`` or ``_CYCLES``) and a ``prefix`` of at least m."""
-    _check_cap(lam.n, cap)
-    _check_m(lam.n, m)
+    ``column`` (``_TYPE`` or ``_CYCLES``) and a ``prefix`` of at least m.
+    The caller has checked the query."""
     rows = _census_index(lam.n).get(lam.parts, ())
     return sum(row[_COUNT] for row in rows if row[column] == want and row[prefix] >= m)
 
 
-def oracle_p(lam: IntegerPartition, m: int, k: int, cap: int | None = None) -> int:
+def oracle_p(lam: IntegerPartition, m: int, k: int) -> int:
     """Pairs (s, pi), s an n-cycle, with diagonal s*pi^-1 of cycle type
     lam, pi having k cycles and 1..m in distinct cycles of pi.
     """
-    return _pairs(lam, m, cap, _CYCLES, k, _SEPARATED)
+    _check(lam.n, m, k)
+    return _pairs(lam, m, _CYCLES, k, _SEPARATED)
 
 
-def oracle_i(lam: IntegerPartition, m: int, k: int, cap: int | None = None) -> int:
+def oracle_i(lam: IntegerPartition, m: int, k: int) -> int:
     """As :func:`oracle_p` but with 1..m required to be fixed points."""
-    return _pairs(lam, m, cap, _CYCLES, k, _FIXED)
+    _check(lam.n, m, k)
+    return _pairs(lam, m, _CYCLES, k, _FIXED)
 
 
-def oracle_p_by_vertical_type(
-    lam: IntegerPartition, mu: IntegerPartition, m: int, cap: int | None = None
-) -> int:
+def oracle_p_by_vertical_type(lam: IntegerPartition, mu: IntegerPartition, m: int) -> int:
     """Separation count restricted to verticals of exact cycle type mu."""
-    return _pairs(lam, m, cap, _TYPE, mu.parts, _SEPARATED)
+    _check(lam.n, m)
+    return _pairs(lam, m, _TYPE, mu.parts, _SEPARATED)
 
 
-def oracle_i_by_vertical_type(
-    lam: IntegerPartition, mu: IntegerPartition, m: int, cap: int | None = None
-) -> int:
+def oracle_i_by_vertical_type(lam: IntegerPartition, mu: IntegerPartition, m: int) -> int:
     """Isolation count restricted to verticals of exact cycle type mu."""
-    return _pairs(lam, m, cap, _TYPE, mu.parts, _FIXED)
+    _check(lam.n, m)
+    return _pairs(lam, m, _TYPE, mu.parts, _FIXED)
 
 
-def oracle_p_stratified(
-    lam: IntegerPartition, m: int, k: int, cap: int | None = None
-) -> dict[int, int]:
+def oracle_p_stratified(lam: IntegerPartition, m: int, k: int) -> dict[int, int]:
     """Separation counts split by the exceedance count of the pair.
 
     The values sum to ``oracle_p(lam, m, k)``.
     """
     n = lam.n
-    _check_cap(n, cap)
-    _check_m(n, m)
+    _check(n, m, k)
     out: dict[int, int] = {}
     for smax, a, cnt in _stratified_index(n).get((lam.parts, k), ()):
         if smax >= m:
@@ -461,12 +443,12 @@ def oracle_p_stratified(
     return out
 
 
-def oracle_fixed_point_distribution(n: int, cap: int | None = None) -> dict[int, int]:
+def oracle_fixed_point_distribution(n: int) -> dict[int, int]:
     """For each i, the number of pairs of n-cycles whose product has
     exactly i fixed points, keys in decreasing order.  Values sum to
     ((n-1)!)^2.
     """
-    _check_cap(n, cap)
+    _check(n)
     out: dict[int, int] = {}
     for mu, _, _, _, cnt in _census_index(n).get((n,), ()):
         fixed = mu.count(1)
@@ -474,12 +456,12 @@ def oracle_fixed_point_distribution(n: int, cap: int | None = None) -> dict[int,
     return dict(sorted(out.items(), reverse=True))
 
 
-def oracle_alpha(alpha: Composition, cap: int | None = None) -> int:
+def oracle_alpha(alpha: Composition) -> int:
     """Pairs of n-cycles whose product keeps every cycle inside a single
     block of the composition.
     """
     n = alpha.n
-    _check_cap(n, cap)
+    _check(n)
     required = 0
     for t in alpha.boundaries():
         required |= 1 << (t - 1)
@@ -492,7 +474,3 @@ def pair_count(n: int) -> int:
     """Total number of enumerated pairs: (n-1)! * n!."""
     return factorial(n - 1) * factorial(n)
 
-
-def _check_m(n: int, m: int) -> None:
-    if not 0 <= m <= n:
-        raise ValueError(f"m must satisfy 0 <= m <= {n}, got {m}")

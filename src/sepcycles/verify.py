@@ -60,7 +60,7 @@ def _record(records: list, suite: str, check: str, params: dict, got, expected):
     )
 
 
-def suite_closed_forms(max_n: int, cap: int | None = None) -> list[CheckRecord]:
+def suite_closed_forms(max_n: int) -> list[CheckRecord]:
     """Products of two n-cycles: every closed form against the oracle."""
     records: list[CheckRecord] = []
     suite = "closed-forms"
@@ -71,25 +71,25 @@ def suite_closed_forms(max_n: int, cap: int | None = None) -> list[CheckRecord]:
             for k in range(1, n + 1):
                 _record(
                     records, suite, "p-ncycle", {"n": n, "m": m, "k": k},
-                    counting.p_ncycle(n, m, k), oracle.oracle_p(lam, m, k, cap=cap),
+                    counting.p_ncycle(n, m, k), oracle.oracle_p(lam, m, k),
                 )
                 if m < n:
                     _record(
                         records, suite, "i-ncycle", {"n": n, "m": m, "k": k},
-                        counting.i_ncycle(n, m, k), oracle.oracle_i(lam, m, k, cap=cap),
+                        counting.i_ncycle(n, m, k), oracle.oracle_i(lam, m, k),
                     )
-            sep_sum = sum(oracle.oracle_p(lam, m, k, cap=cap) for k in range(1, n + 1))
+            sep_sum = sum(oracle.oracle_p(lam, m, k) for k in range(1, n + 1))
             _record(
                 records, suite, "separation-probability", {"n": n, "m": m},
                 counting.sep_prob_ncycle(n, m), Fraction(sep_sum, total),
             )
             if m < n:
-                iso_sum = sum(oracle.oracle_i(lam, m, k, cap=cap) for k in range(1, n + 1))
+                iso_sum = sum(oracle.oracle_i(lam, m, k) for k in range(1, n + 1))
                 _record(
                     records, suite, "isolation-probability", {"n": n, "m": m},
                     counting.iso_prob_ncycle(n, m), Fraction(iso_sum, total),
                 )
-        dist = oracle.oracle_fixed_point_distribution(n, cap=cap)
+        dist = oracle.oracle_fixed_point_distribution(n)
         counts = counting.fixed_point_pair_counts(n)
         _record(
             records, suite, "fixed-point-distribution", {"n": n},
@@ -111,12 +111,12 @@ def suite_closed_forms(max_n: int, cap: int | None = None) -> list[CheckRecord]:
         for alpha in compositions_of(n):
             _record(
                 records, suite, "alpha-separated", {"n": n, "alpha": str(alpha)},
-                counting.alpha_separated_count(alpha), oracle.oracle_alpha(alpha, cap=cap),
+                counting.alpha_separated_count(alpha), oracle.oracle_alpha(alpha),
             )
     return records
 
 
-def suite_recurrences(max_n: int, cap: int | None = None) -> list[CheckRecord]:
+def suite_recurrences(max_n: int) -> list[CheckRecord]:
     """General-diagonal recurrences and their initial values."""
     records: list[CheckRecord] = []
     suite = "recurrences"
@@ -127,13 +127,13 @@ def suite_recurrences(max_n: int, cap: int | None = None) -> list[CheckRecord]:
                     params = {"lambda": str(lam), "m": m, "k": k}
                     _record(
                         records, suite, "p-lambda", params,
-                        counting.p_lambda(lam, m, k), oracle.oracle_p(lam, m, k, cap=cap),
+                        counting.p_lambda(lam, m, k), oracle.oracle_p(lam, m, k),
                     )
                     _record(
                         records, suite, "i-lambda", params,
-                        counting.i_lambda(lam, m, k), oracle.oracle_i(lam, m, k, cap=cap),
+                        counting.i_lambda(lam, m, k), oracle.oracle_i(lam, m, k),
                     )
-            _initial_records(records, lam, cap)
+            _initial_records(records, lam)
     # pure big-integer identity between the n-cycle closed form and its
     # recurrence; no oracle needed, so probe beyond the enumeration cap
     for n in range(1, max(max_n, 12) + 1):
@@ -154,7 +154,7 @@ def suite_recurrences(max_n: int, cap: int | None = None) -> list[CheckRecord]:
     return records
 
 
-def _initial_records(records: list, lam: IntegerPartition, cap: int | None) -> None:
+def _initial_records(records: list, lam: IntegerPartition) -> None:
     """The p-initial and i-initial records on lam's boundary: every
     vertical type mu with l(lam) + l(mu) = n + 1, every m."""
     n = lam.n
@@ -166,12 +166,12 @@ def _initial_records(records: list, lam: IntegerPartition, cap: int | None) -> N
             _record(
                 records, "recurrences", "p-initial", params,
                 counting.p_base(lam, mu, m),
-                oracle.oracle_p_by_vertical_type(lam, mu, m, cap=cap),
+                oracle.oracle_p_by_vertical_type(lam, mu, m),
             )
             _record(
                 records, "recurrences", "i-initial", params,
                 counting.i_base(lam, mu, m),
-                oracle.oracle_i_by_vertical_type(lam, mu, m, cap=cap),
+                oracle.oracle_i_by_vertical_type(lam, mu, m),
             )
 
 
@@ -188,14 +188,14 @@ def resolve_p_base_reading(max_n: int = 6) -> str:
     records: list[CheckRecord] = []
     for n in range(1, max_n + 1):
         for lam in partitions_of(n):
-            _initial_records(records, lam, None)
+            _initial_records(records, lam)
     for record in records:
         if record.check == "p-initial" and not record.ok:
             raise RuntimeError(f"p_base spelling 'minus' fails: {record.line()}")
     return "minus"
 
 
-def suite_identities(max_n: int, cap: int | None = None) -> list[CheckRecord]:
+def suite_identities(max_n: int) -> list[CheckRecord]:
     """Structural identities of the two-row calculus, via the oracle."""
     records: list[CheckRecord] = []
     suite = "identities"
@@ -220,7 +220,7 @@ def suite_identities(max_n: int, cap: int | None = None) -> list[CheckRecord]:
     # cycle-count bound: no pair has l(lam) + k > n + 1
     for n in range(1, max_n + 1):
         bound_ok = all(
-            oracle.oracle_p(lam, 0, k, cap=cap) == 0
+            oracle.oracle_p(lam, 0, k) == 0
             for lam in partitions_of(n)
             for k in range(n + 2 - lam.length, n + 1)
         )
@@ -232,7 +232,7 @@ def suite_identities(max_n: int, cap: int | None = None) -> list[CheckRecord]:
             for k in range(1, n + 1):
                 total_exc = 0
                 for lam in partitions_of(n):
-                    strat = oracle.oracle_p_stratified(lam, m, k, cap=cap)
+                    strat = oracle.oracle_p_stratified(lam, m, k)
                     total_exc += sum(a * cnt for a, cnt in strat.items())
                 rhs_direct = (
                     factorial(n - 1)
@@ -248,13 +248,13 @@ def suite_identities(max_n: int, cap: int | None = None) -> list[CheckRecord]:
         for lam in partitions_of(n):
             for m in range(0, n + 1):
                 for k in range(1, n + 1):
-                    strat = oracle.oracle_p_stratified(lam, m, k, cap=cap)
+                    strat = oracle.oracle_p_stratified(lam, m, k)
                     lhs = sum((n - k - a) * cnt for a, cnt in strat.items())
                     rhs = 0
                     j = 1
                     while k + 2 * j <= n:
                         w = counting._weight_p(m, k, j)
-                        rhs += w * oracle.oracle_p(lam, m, k + 2 * j, cap=cap)
+                        rhs += w * oracle.oracle_p(lam, m, k + 2 * j)
                         j += 1
                     _record(
                         records, suite, "stratified-splitting-identity",
@@ -263,20 +263,18 @@ def suite_identities(max_n: int, cap: int | None = None) -> list[CheckRecord]:
     return records
 
 
-def run_suites(
-    suites: list[str], max_n: int, cap: int | None = None
-) -> list[CheckRecord]:
+def run_suites(suites: list[str], max_n: int) -> list[CheckRecord]:
     """Every record of the named suites for n = 1..max_n.  Bad input is
-    refused before any suite starts, max_n above the cap in force too."""
+    refused before any suite starts, max_n above the census's hard
+    maximum too."""
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
-    limit = oracle.active_cap(cap)
-    if max_n > limit:
-        raise oracle.OracleCapError(max_n, limit)
+    if max_n > oracle.HARD_CAP:
+        raise oracle.OracleCapError(max_n)
     for name in suites:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {tuple(SUITES)}")
     records: list[CheckRecord] = []
     for name in suites:
-        records.extend(globals()[SUITES[name]](max_n, cap=cap))
+        records.extend(globals()[SUITES[name]](max_n))
     return records

@@ -1,3 +1,4 @@
+import collections
 import csv
 import gc
 import hashlib
@@ -79,10 +80,9 @@ def test_count_lambda_quantities(capsys, refuse_census):
         capsys, "count", "i-lambda", "--lambda", "2+2", "--m", "1", "--k", "1",
     )
     assert record["source"] == "recurrence"
-    # a raised cap never turns the recurrence into enumeration
+    # a size past the census never turns the recurrence into enumeration
     records = run_json(
         capsys, "count", "p-lambda", "--lambda", "9", "--m", "1", "--k", "all",
-        "--cap", "8",
     )
     assert [r["value"] for r in records] == [
         str(counting.p_ncycle(9, 1, k)) for k in range(1, 10)
@@ -278,11 +278,11 @@ def test_table_command(capsys, refuse_census):
     entries = {(e["lambda"], e["k"]): e["value"] for e in data["entries"]}
     assert entries[("4", 2)] == "16"
     assert data["source"] == "recurrence"
-    # a raised cap never turns the recurrence into enumeration
-    data8 = run_json(capsys, "table", "--n", "8", "--m", "2", "--kind", "p", "--cap", "8")
-    assert data8["source"] == "recurrence"
-    entries8 = {(e["lambda"], e["k"]): e["value"] for e in data8["entries"]}
-    assert entries8[("8", 2)] == str(counting.p_ncycle(8, 2, 2))
+    # a size past the census never turns the recurrence into enumeration
+    data9 = run_json(capsys, "table", "--n", "9", "--m", "2", "--kind", "p")
+    assert data9["source"] == "recurrence"
+    entries9 = {(e["lambda"], e["k"]): e["value"] for e in data9["entries"]}
+    assert entries9[("9", 3)] == str(counting.p_ncycle(9, 2, 3))
     oracle_data = run_json(
         capsys, "table", "--n", "4", "--m", "2", "--kind", "p",
         "--table-source", "oracle",
@@ -312,46 +312,81 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["value"] == "35"
 
 
-@pytest.mark.parametrize("quantity", ["p-lambda", "p-ncycle"])
-def test_cap_above_hard_maximum_rejected(tmp_path, capsys, quantity):
-    which = ["--lambda", "4"] if quantity == "p-lambda" else ["--n", "4"]
-    for cap in (HARD_CAP + 1, 12):
-        code, out, err = run_cli(capsys, "count", quantity, *which, "--m", "0", "--k", "2",
-                                 "--cap", str(cap))
-        assert code == 2
-        assert f"cap {cap} exceeds the hard maximum {HARD_CAP}" in err
-        assert out == ""
-    # a cap below 1 would refuse every n, and one above the hard maximum
-    # is refused too: every command rejects either up front, from --cap or
-    # from the config file
-    low, high = tmp_path / "low.cfg", tmp_path / "high.cfg"
-    low.write_text("oracle_cap = 0\n")
-    high.write_text(f"oracle_cap = {HARD_CAP + 1}\n")
-    below = "cap {} is below 1: it would refuse every n"
-    above = f"cap {HARD_CAP + 1} exceeds the hard maximum {HARD_CAP}"
-    commands = [
-        ["count", quantity, *which, "--m", "0", "--k", "2"],
-        ["table", "--n", "4", "--m", "1", "--kind", "p"],
-        ["verify", "--max-n", "3", "--suite", "closed-forms"],
-    ]
-    for argv in commands:
-        for cap_args, message in (
-            (["--cap", "0"], below.format(0)),
-            (["--cap", "-3"], below.format(-3)),
-            (["--config", str(low)], below.format(0)),
-            (["--cap", str(HARD_CAP + 1)], above),
-            (["--config", str(high)], above),
-        ):
-            code, out, err = run_cli(capsys, *argv, *cap_args)
-            assert code == 2, (argv, cap_args)
-            assert err == f"error: {message}\n"
-            assert out == ""
+# every command that enumerates, its size n (the alpha composition 1,{rest}: n = rest + 1)
+ENUMERATING = [
+    "count p-ncycle --n {n} --m 0 --k 1 --source oracle",
+    "count i-ncycle --n {n} --m 0 --k all --source oracle",
+    "count p-lambda --lambda {n} --m 1 --k 1 --source oracle",
+    "count i-lambda --lambda {n} --m 1 --k all --source oracle",
+    "count alpha --alpha 1,{rest} --source oracle",
+    "table --n {n} --m 1 --kind i --table-source oracle",
+    "verify --max-n {n} --suite identities",
+]
+
+
+def test_n_above_the_hard_cap_refused_before_any_census(capsys, refuse_census):
+    # every command refuses n = 9 up front, exit 2 and no pass started;
+    # the refusal names no option, since no option raises the limit
+    refuse_census(from_n=HARD_CAP)
+    for command in ENUMERATING:
+        argv = command.format(n=HARD_CAP + 1, rest=HARD_CAP).split()
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), command
+        assert err == f"error: oracle refuses n={HARD_CAP + 1}: the census stops at n={HARD_CAP}\n"
+    # n = 8 is not refused up front: each count and table reaches its pass
+    for command in ENUMERATING[:-1]:
+        argv = command.format(n=HARD_CAP, rest=HARD_CAP - 1).split()
+        with pytest.raises(RuntimeError, match=f"census refused at n={HARD_CAP}"):
+            cli.main(argv)
+
+
+@pytest.mark.parametrize("quantity", ["stirling", "c-sep", "c-fix", "p-ncycle", "i-ncycle"])
+def test_row_counts_refuse_n_past_their_limit_before_any_row(capsys, monkeypatch, quantity):
+    built = []
+
+    def fake_row(n, m):
+        built.append((n, m))
+        return (0,) * (n + 1)
+
+    monkeypatch.setattr(counting, "_separating_row", fake_row)
+    m = [] if quantity == "stirling" else ["--m", "1"]  # stirling refuses --m
+    limit = cli.ROW_MAX_N
+    code, out, err = run_cli(capsys, "count", quantity, "--n", str(limit + 1), *m, "--k", "2")
+    assert (code, out, built) == (2, "", [])
+    assert err == f"error: n must be <= {limit} for {quantity}, got {limit + 1}\n"
+    # the limit itself is accepted (a real row there takes seconds)
+    code, out, err = run_cli(capsys, "count", quantity, "--n", str(limit), *m, "--k", "2")
+    assert code == 0, err
+    assert built
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["count", "p-lambda", "--m", "1", "--k", "2", "--lambda"], "p-lambda"),
+    (["count", "i-lambda", "--m", "2", "--k", "all", "--lambda"], "i-lambda"),
+    (["table", "--m", "1", "--kind", "i", "--n"], "table"),
+])
+def test_tables_refuse_n_past_their_limit_before_any_table(capsys, monkeypatch, argv, name):
+    built = []
+
+    def fake_table(n, m, kind):
+        built.append((n, m, kind))
+        return collections.defaultdict(lambda: [0] * (n // 2 + 1))
+
+    monkeypatch.setattr(counting, "_recurrence_table", fake_table)
+    limit = cli.TABLE_MAX_N
+    code, out, err = run_cli(capsys, *argv, str(limit + 1))
+    assert (code, out, built) == (2, "", [])
+    assert err == f"error: n must be <= {limit} for {name}, got {limit + 1}\n"
+    # the limit itself is accepted (a real table there takes seconds)
+    code, out, err = run_cli(capsys, *argv, str(limit))
+    assert code == 0, err
+    assert built
 
 
 @pytest.mark.parametrize("argv", [
     ["count", "stirling", "--n", "4", "--k", "2", "--out", "{missing}/x.json"],
     ["verify", "--max-n", "3", "--suite", "closed-forms", "--out", "{missing}/x.txt"],
-    ["count", "stirling", "--n", "4", "--k", "2", "--config", "{missing}/x.cfg"],
+    ["table", "--n", "4", "--m", "1", "--out", "{missing}/x.json"],
 ])
 def test_unopenable_file_reported(tmp_path, capsys, argv):
     missing = tmp_path / "missing"
@@ -390,48 +425,6 @@ def test_precondition_errors_surface(capsys):
         assert out == ""
 
 
-def test_config_file(tmp_path, capsys):
-    config = tmp_path / "sepcycles.cfg"
-    config.write_text("# defaults\nformat = csv\noracle_cap = 5\n")
-    code, out, _ = run_cli(
-        capsys, "count", "stirling", "--n", "4", "--k", "2", "--config", str(config),
-    )
-    assert code == 0
-    assert out.splitlines()[0].startswith("command,")
-    # flags override the config
-    code, out, _ = run_cli(
-        capsys, "count", "stirling", "--n", "4", "--k", "2", "--config", str(config),
-        "--format", "json",
-    )
-    assert code == 0
-    assert json.loads(out)["value"] == "11"
-    # the configured cap refuses a deeper verify run
-    code, _, err = run_cli(
-        capsys, "verify", "--max-n", "6", "--suite", "closed-forms",
-        "--config", str(config),
-    )
-    assert code == 2
-    assert "cap" in err
-    # a configured cap above the hard maximum is refused by every command
-    config.write_text("oracle_cap = 12\n")
-    code, _, err = run_cli(
-        capsys, "count", "stirling", "--n", "4", "--k", "2", "--config", str(config),
-    )
-    assert code == 2
-    assert "hard maximum" in err
-
-
-def test_config_cap_must_be_integer(tmp_path, capsys):
-    config = tmp_path / "sepcycles.cfg"
-    config.write_text("format = json\noracle_cap=abc\n")
-    code, out, err = run_cli(
-        capsys, "count", "stirling", "--n", "4", "--k", "2", "--config", str(config),
-    )
-    assert code == 2
-    assert f"{config}:2: oracle_cap must be an integer, got 'abc'" in err
-    assert out == ""
-
-
 def test_verify_passes_and_reports(capsys):
     code, out, _ = run_cli(capsys, "verify", "--max-n", "3", "--suite", "all")
     assert code == 0
@@ -450,14 +443,9 @@ def test_verify_quiet(capsys):
 
 
 def test_verify_rejects_max_n_beyond_cap(capsys):
-    code, _, err = run_cli(capsys, "verify", "--max-n", "8", "--suite", "identities")
+    code, out, err = run_cli(capsys, "verify", "--max-n", "9")
     assert code == 2
-    assert "cap" in err
-    # the refusal names the command-line flag, not only the Python keyword
-    code, out, err = run_cli(capsys, "verify", "--max-n", "8")
-    assert code == 2
-    assert "n=8: cap is 7" in err
-    assert "--cap" in err
+    assert err == "error: oracle refuses n=9: the census stops at n=8\n"
     assert out == ""
 
 
@@ -499,12 +487,12 @@ def test_verify_out_untouched_when_max_n_exceeds_cap(tmp_path, capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run_cli(
-            capsys, "verify", "--max-n", "8", "--suite", "identities",
+            capsys, "verify", "--max-n", "9", "--suite", "identities",
             "--out", str(target),
         )
         gc.collect()
     assert code == 2
-    assert "cap" in err
+    assert "the census stops at n=8" in err
     assert out == ""
     assert target.read_text(encoding="utf-8") == "keep\n"
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
@@ -557,13 +545,6 @@ def test_verify_refuses_format(tmp_path, capsys):
     assert captured.out == ""
     assert "--format" in captured.err
     assert not target.exists()
-    # a config-file format stays valid: the config is shared by all commands
-    config = tmp_path / "sepcycles.cfg"
-    config.write_text("format = csv\n")
-    code, out, _ = run_cli(capsys, "verify", "--max-n", "2", "--quiet",
-                           "--config", str(config))
-    assert code == 0
-    assert out.startswith("189 checks, 0 mismatches")
 
 
 # every sepcycles module a cold formula command may load
@@ -605,16 +586,26 @@ def test_cold_process_loads_only_what_the_command_runs(argv, enumerates):
         assert ("sepcycles.verify" in loaded) == (argv[0] == "verify")
 
 
-def test_cli_spells_the_oracle_caps_and_verify_suites():
+def test_cli_spells_the_oracle_caps_and_verify_suites(monkeypatch):
     # the parser is built without importing oracle or verify, so it spells
     # their constants out; these must stay equal to the sources
-    assert cli.CAP_HELP == (f"oracle enumeration cap (default {oracle.DEFAULT_CAP}, "
-                            f"hard maximum {oracle.HARD_CAP})")
+    assert cli.CENSUS_MAX_N == oracle.HARD_CAP
     parser = cli._build_parser()
     commands = next(a for a in parser._actions if a.dest == "command").choices
-    for command in ("count", "table", "verify"):
-        (cap,) = (a for a in commands[command]._actions if a.dest == "cap")
-        assert cap.help == cli.CAP_HELP
+    helps = {(command, a.dest): a.help for command in commands
+             for a in commands[command]._actions}
+    assert f"hard maximum {oracle.HARD_CAP}" in helps["count", "source"]
+    assert f"hard maximum {oracle.HARD_CAP}" in helps["table", "table_source"]
+    assert f"at most {oracle.HARD_CAP}" in helps["verify", "max_n"]
+    assert f"at most {cli.ROW_MAX_N}" in helps["count", "n"]
+    assert f"at most {cli.TABLE_MAX_N}" in helps["count", "lambda"]
+    assert f"at most {cli.TABLE_MAX_N}" in helps["table", "n"]
+    # the census limit is fixed: no command takes an option that moves it
+    assert not {dest for _, dest in helps} & {"cap", "config"}
+    # the rendered help keeps the limit on one line at the usual width
+    monkeypatch.setenv("COLUMNS", "80")
+    for command in ("count", "table"):
+        assert f"hard maximum {oracle.HARD_CAP}" in commands[command].format_help()
     (suite,) = (a for a in commands["verify"]._actions if a.dest == "suite")
     assert suite.choices == list(verify.SUITES) + ["all"]
 
@@ -692,10 +683,11 @@ GOLDEN = [
      "0a577060364b397e8f9eef3ddffaffcd7c08cbceabda0d1fd94a04628769d334"),
     ("table --n 0", 2,
      "7ebd12422fd8389cb4f8d4a95618a15bc72a31175721bb31c63ff334233c154b"),
-    ("count stirling --n 4 --k 2 --cap 9", 2,
-     "21df1fee39573949bed8a3f6b557f7d5db9b7bf61daf37049ee710557c639ccf"),
-    ("verify --max-n 8", 2,
-     "04714d18778fb01e4abe0a2f1d013b224c123a9bd9b5e18f54e85bdd600db2de"),
+    # past the census's hard maximum, which no option moves
+    ("count p-ncycle --n 9 --m 0 --k 1 --source oracle", 2,
+     "c55ef99f082a915c57fcdbede73258f6f2209124010992279d36e8ae6b5a1897"),
+    ("verify --max-n 9", 2,
+     "c55ef99f082a915c57fcdbede73258f6f2209124010992279d36e8ae6b5a1897"),
     # the two inputs the command table fixed: the missing flag's own name,
     # and a subject flag the quantity does not read
     ("count p-lambda --k 1", 2,

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from collections import Counter
 from functools import lru_cache
 from itertools import permutations
@@ -9,7 +10,6 @@ import pytest
 
 from sepcycles import oracle as oracle_module
 from sepcycles.oracle import (
-    DEFAULT_CAP,
     HARD_CAP,
     OracleCapError,
     _adjacent_swaps,
@@ -416,21 +416,35 @@ def test_alpha_hand_cases():
         assert oracle_alpha(Composition(tuple([1] * n))) == factorial(n - 1)
 
 
-def test_cap_refusal():
-    big = P(*([1] * (DEFAULT_CAP + 1)))
-    with pytest.raises(OracleCapError) as info:
-        oracle_p(big, 0, 1)
-    assert str(DEFAULT_CAP) in str(info.value)
-    assert info.value.cap == DEFAULT_CAP
-    with pytest.raises(OracleCapError):
-        oracle_fixed_point_distribution(DEFAULT_CAP + 1)
-    with pytest.raises(OracleCapError):
-        oracle_alpha(Composition((DEFAULT_CAP + 1,)))
-    # a raised cap is honoured, but never beyond the hard maximum
-    with pytest.raises(ValueError):
-        oracle_p(big, 0, 1, cap=HARD_CAP + 1)
-    with pytest.raises(OracleCapError):
-        oracle_fixed_point_distribution(HARD_CAP + 1, cap=HARD_CAP)
+def test_cap_refusal(refuse_census, monkeypatch):
+    # every query refuses n above the hard maximum before any census pass;
+    # at the hard maximum each one reaches its pass
+    refuse_census(from_n=HARD_CAP)
+
+    def stratified(n):
+        raise RuntimeError(f"census refused at n={n}")
+
+    monkeypatch.setattr(oracle_module, "_census_stratified", stratified)
+    monkeypatch.setattr(oracle_module, "_stratified_index",
+                        lru_cache(maxsize=None)(oracle_module._stratified_index.__wrapped__))
+    queries = [
+        lambda n: oracle_p(P(n), 0, 1),
+        lambda n: oracle_i(P(n), 0, 1),
+        lambda n: oracle_p_by_vertical_type(P(n), P(*[1] * n), 0),
+        lambda n: oracle_i_by_vertical_type(P(n), P(*[1] * n), 0),
+        lambda n: oracle_p_stratified(P(n), 0, 1),
+        lambda n: oracle_fixed_point_distribution(n),
+        lambda n: oracle_alpha(Composition((n,))),
+    ]
+    for query in queries:
+        with pytest.raises(OracleCapError) as info:
+            query(HARD_CAP + 1)
+        assert str(info.value) == (f"oracle refuses n={HARD_CAP + 1}: "
+                                   f"the census stops at n={HARD_CAP}")
+        assert info.value.n == HARD_CAP + 1
+        assert isinstance(info.value, ValueError)
+        with pytest.raises(RuntimeError, match=f"census refused at n={HARD_CAP}"):
+            query(HARD_CAP)
 
 
 def test_domain_errors():
@@ -438,6 +452,12 @@ def test_domain_errors():
         oracle_p(P(3), 4, 1)
     with pytest.raises(ValueError):
         oracle_i(P(3), -1, 1)
+    # a cycle count outside 1..n is refused with the formulas' message,
+    # not answered 0
+    for query in (oracle_p, oracle_i, oracle_p_stratified):
+        for k in (0, 4):
+            with pytest.raises(ValueError, match=re.escape(f"k must satisfy 1 <= k <= 3, got {k}")):
+                query(P(2, 1), 1, k)
 
 
 def test_oracle_imports_only_partitions_and_perm(package_imports):
