@@ -21,9 +21,11 @@ oracle is imported where an enumeration runs, and :mod:`~sepcycles.verify`
 only by ``verify``.
 
 Every size is bounded, and refused before any work past its bound:
-``ROW_MAX_N`` for a count read off one row over k, ``TABLE_MAX_N`` for a
-count or table read off a recurrence table, and the oracle's own hard
-maximum (``CENSUS_MAX_N`` here) for an enumeration.
+``TABLE_MAX_N`` for a count or table read off a recurrence table,
+``ROW_MAX_N`` for every other formula, ``DECIMAL_MAX`` for ``--decimal``,
+and the oracle's own hard maximum (``CENSUS_MAX_N`` here) for an
+enumeration.  A query for many values (``--k all``, ``prob moments``)
+prints a JSON list, even of one record, and any other query one object.
 """
 from __future__ import annotations
 
@@ -62,11 +64,13 @@ CENSUS_MAX_N = 8
 VERIFY_SUITES = ("closed-forms", "recurrences", "identities")
 # The largest n a formula command accepts.  One row over k costs about
 # n^2 big-integer steps: a cold `count stirling --n 3000 --k 3` took 4.5 s
-# and 30 MB, n = 6000 35 s.  A recurrence table grows about 1.35x per
-# step of n: a cold `table --n 36 --m 3` took 16 s and 570 MB, so n = 60
-# would run for hours (2-core x86 host, Python 3.11).
+# and 30 MB, n = 6000 35 s, and `prob fpf --n 3000` 2.9 s.  A recurrence
+# table grows about 1.35x per step of n: a cold `table --n 36 --m 3` took
+# 16 s and 570 MB.  `--decimal 100000` took 0.24 s, 1000000 10 s (2-core
+# x86 host, Python 3.11).
 ROW_MAX_N = 3000
 TABLE_MAX_N = 36
+DECIMAL_MAX = 100_000
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -76,12 +80,12 @@ def main(argv: list[str] | None = None) -> int:
             code, text = _run_verify(args)
         else:
             if args.command == "count":
-                records = _run_count(args)
+                payload = _run_count(args)
             elif args.command == "prob":
-                records = _run_prob(args)
+                payload = _run_prob(args)
             else:
-                records = _run_table(args)
-            code, text = 0, _render(records, args.format)
+                payload = _run_table(args)
+            code, text = 0, _render(payload, args.format)
         # the one writer: a refused or failed command leaves --out untouched
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="") as stream:
@@ -117,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="diagonal cycle type, e.g. 2+1+1 or 1^2 2^1, "
                               f"of size at most {TABLE_MAX_N}")
     p_count.add_argument("--alpha", metavar="COMPOSITION",
-                         help="composition, e.g. 1,3")
+                         help=f"composition, e.g. 1,3, of size at most {ROW_MAX_N}")
     p_count.add_argument("--source", choices=["formula", "oracle"], default="formula",
                          help=f"oracle: enumeration, hard maximum {CENSUS_MAX_N} (none "
                               "for stirling, c-sep, c-fix); formula: closed form or "
@@ -125,10 +129,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_prob = sub.add_parser("prob", parents=[formatted], help="exact probabilities")
     p_prob.add_argument("quantity", choices=PROB_QUANTITIES)
-    p_prob.add_argument("--n", type=int, required=True)
+    p_prob.add_argument("--n", type=int, required=True,
+                        help=f"size, at most {ROW_MAX_N}")
     p_prob.add_argument("--m", type=int)
     p_prob.add_argument("--decimal", type=int, metavar="D", default=None,
-                        help="also render D decimal digits")
+                        help=f"also render D decimal digits, at most {DECIMAL_MAX}")
 
     p_table = sub.add_parser("table", parents=[formatted],
                              help="full (lambda, k) table for one (n, m)")
@@ -180,7 +185,7 @@ def _record(query: dict, value, source: str, started: float) -> dict:
     }
 
 
-def _run_count(args) -> list[dict]:
+def _run_count(args) -> dict | list[dict]:
     q = args.quantity
     formula, source, enumeration, reads = COUNTS[q]
     if args.source == "oracle" and enumeration is None:
@@ -201,9 +206,10 @@ def _run_count(args) -> list[dict]:
         formula, source = getattr(oracle, enumeration), "oracle"
     if q == "alpha":  # no k: one record for the composition
         alpha = Composition.from_string(args.alpha)
+        _check_size(alpha.n, ROW_MAX_N, q)
         started = time.perf_counter()
-        return [_record({"command": "count", "quantity": q, "alpha": str(alpha)},
-                        formula(alpha), source, started)]
+        return _record({"command": "count", "quantity": q, "alpha": str(alpha)},
+                       formula(alpha), source, started)
 
     by_lambda = "lambda" in reads
     if by_lambda:
@@ -211,9 +217,7 @@ def _run_count(args) -> list[dict]:
     else:
         lam = IntegerPartition((args.n,))
     n = lam.n
-    limit = TABLE_MAX_N if by_lambda else ROW_MAX_N
-    if n > limit:
-        raise ValueError(f"n must be <= {limit} for {q}, got {n}")
+    _check_size(n, TABLE_MAX_N if by_lambda else ROW_MAX_N, q)
     if args.k == "all":
         ks = range(0 if q == "stirling" else 1, n + 1)
     else:
@@ -234,7 +238,12 @@ def _run_count(args) -> list[dict]:
         if by_lambda:
             query["lambda"] = str(lam)
         records.append(_record(query, formula(lam, m, k), source, started))
-    return records
+    return records if args.k == "all" else records[0]
+
+
+def _check_size(n: int, limit: int, name: str) -> None:
+    if n > limit:
+        raise ValueError(f"n must be <= {limit} for {name}, got {n}")
 
 
 def _decimal_string(value: Fraction, digits: int) -> str:
@@ -246,10 +255,11 @@ def _decimal_string(value: Fraction, digits: int) -> str:
     return f"{text[:-digits]}.{text[-digits:]}"
 
 
-def _run_prob(args) -> list[dict]:
+def _run_prob(args) -> dict | list[dict]:
     q = args.quantity
-    if args.decimal is not None and args.decimal < 0:
-        raise ValueError(f"--decimal must be >= 0, got {args.decimal}")
+    _check_size(args.n, ROW_MAX_N, q)
+    if args.decimal is not None and not 0 <= args.decimal <= DECIMAL_MAX:
+        raise ValueError(f"--decimal must be >= 0 and <= {DECIMAL_MAX}, got {args.decimal}")
     if q in ("fpf", "moments") and args.m is not None:
         raise ValueError(f"--m does not apply to {q}")
     m = args.m or 0
@@ -272,21 +282,20 @@ def _run_prob(args) -> list[dict]:
         if args.decimal is not None:
             record["decimal"] = _decimal_string(value, args.decimal)
         records.append(record)
-    return records
+    return records if q == "moments" else records[0]
 
 
-def _run_table(args) -> list[dict]:
+def _run_table(args) -> dict:
     started = time.perf_counter()
     m = args.m or 0
-    if args.n > TABLE_MAX_N:
-        raise ValueError(f"n must be <= {TABLE_MAX_N} for table, got {args.n}")
+    _check_size(args.n, TABLE_MAX_N, "table")
     if args.table_source == "oracle":
         table = _oracle_table(args.n, m, args.kind)
     else:
         table = counting.build_count_table(args.n, m, kind=args.kind)
     data = table.to_json_dict()
     data["time_seconds"] = round(time.perf_counter() - started, 6)
-    return [data]
+    return data
 
 
 def _oracle_table(n: int, m: int, kind: str) -> counting.CountTable:
@@ -316,12 +325,12 @@ def _run_verify(args) -> tuple[int, str]:
     return (1 if failures else 0), "\n".join(lines) + "\n"
 
 
-def _render(records: list[dict], out_format: str) -> str:
+def _render(payload: dict | list[dict], out_format: str) -> str:
+    records = payload if isinstance(payload, list) else [payload]
     if out_format == "json":
-        payload = records[0] if len(records) == 1 else records
-        # the table serializer writes json.dumps's text, only faster
-        dump = counting.table_json if "entries" in payload else json.dumps
-        return dump(payload, indent=2) + "\n"
+        if "entries" in records[0]:  # one table: json.dumps's text, only faster
+            return counting.table_json(payload) + "\n"
+        return json.dumps(payload, indent=2) + "\n"
     rows = []
     for record in records:
         if "entries" in record:  # a materialised table: one row per entry

@@ -427,15 +427,17 @@ def fixed_point_pair_counts(n: int) -> tuple[int, ...]:
     """Exact pair counts by number of fixed points of the product.
 
     Entry i is the number of pairs of n-cycles whose product has exactly
-    i fixed points; inclusion-exclusion over the counts of pairs fixing
-    a prescribed j-subset pointwise.
+    i fixed points; inclusion-exclusion over F(n, j), the pairs whose
+    product fixes a prescribed j-set pointwise: (n-1)! (n-1-j)! for
+    j < n (the first n-cycle is free; the j fixed points prescribe the
+    second on j arcs of paths, and (n-1-j)! n-cycles extend them), and
+    (n-1)! for j = n, where the product is the identity.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    total_pairs = factorial(n - 1) ** 2
-    # fixing[j]: pairs whose product fixes a given j-set pointwise
-    fixing = [exact_div(total_pairs, factorial(j) * comb(n - 1, j)) for j in range(n)]
-    fixing.append(factorial(n - 1))  # product is forced to the identity
+    cycles = factorial(n - 1)
+    total_pairs = cycles * cycles
+    fixing = [cycles * factorial(n - 1 - j) for j in range(n)] + [cycles]
     counts = []
     for i in range(n + 1):
         value = 0
@@ -466,20 +468,17 @@ def fpf_probability(n: int) -> Fraction:
 
 
 def fixed_point_moments(n: int) -> tuple[Fraction, Fraction]:
-    """(mean, variance) of the number of fixed points in the product of
-    two uniform n-cycles.  The mean is n/(n-1); the variance comes from
-    the exact distribution.
+    """(mean, variance) of the number X of fixed points in the product of
+    two uniform n-cycles, read off the fixing counts F(n, j) of
+    :func:`fixed_point_pair_counts` over T = ((n-1)!)^2: E[X] =
+    n F(n, 1) / T = n/(n-1), and E[X(X-1)] = n(n-1) F(n, 2) / T =
+    n/(n-2), or 2 at n = 2, where F(2, 2) counts the identity product.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    counts = fixed_point_pair_counts(n)
-    total = factorial(n - 1) ** 2
-    mean = Fraction(sum(i * c for i, c in enumerate(counts)), total)
-    expected_mean = Fraction(n, n - 1)
-    if mean != expected_mean:
-        raise ArithmeticError(f"distribution mean {mean} != {expected_mean}")
-    second = Fraction(sum(i * i * c for i, c in enumerate(counts)), total)
-    return expected_mean, second - expected_mean * expected_mean
+    mean = Fraction(n, n - 1)
+    falling = Fraction(n, n - 2) if n > 2 else Fraction(2)
+    return mean, falling + mean - mean * mean
 
 
 def alpha_separated_count(alpha: Composition) -> int:
@@ -532,27 +531,12 @@ class CountTable:
             ],
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return table_json(self.to_json_dict(), indent)
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "CountTable":
-        entries = {}
-        for item in data["entries"]:
-            key = (IntegerPartition.from_string(item["lambda"]), int(item["k"]))
-            entries[key] = int(item["value"])
-        return CountTable(
-            n=int(data["n"]), m=int(data["m"]), kind=data["kind"],
-            source=data["source"], entries=entries,
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "CountTable":
-        return CountTable.from_json_dict(json.loads(text))
+    def to_json(self) -> str:
+        return table_json(self.to_json_dict())
 
 
-def table_json(record: dict, indent: int | None = 2) -> str:
-    """``json.dumps(record, indent=indent)``, byte for byte, for a table
+def table_json(record: dict) -> str:
+    """``json.dumps(record, indent=2)``, byte for byte, for a table
     record: scalars, and under "entries" a list of {"lambda", "k",
     "value"} records in that key order (see :meth:`CountTable.to_json_dict`).
 
@@ -560,17 +544,16 @@ def table_json(record: dict, indent: int | None = 2) -> str:
     one f-string each with json's own string encoder, and spliced into
     the dump of the rest; the key "entries" occurs once in that dump.
     """
-    if indent is None or not record["entries"]:
-        return json.dumps(record, indent=indent)
-    string, pad = json.encoder.encode_basestring_ascii, " " * indent
-    p2, p3 = pad * 2, pad * 3
+    if not record["entries"]:
+        return json.dumps(record, indent=2)
+    string = json.encoder.encode_basestring_ascii
     body = ",\n".join(
-        f'{p2}{{\n{p3}"lambda": {string(e["lambda"])},\n{p3}"k": {e["k"]},\n'
-        f'{p3}"value": {string(e["value"])}\n{p2}}}'
+        f'    {{\n      "lambda": {string(e["lambda"])},\n      "k": {e["k"]},\n'
+        f'      "value": {string(e["value"])}\n    }}'
         for e in record["entries"]
     )
-    rest = json.dumps({**record, "entries": []}, indent=indent)
-    return rest.replace('"entries": []', f'"entries": [\n{body}\n{pad}]', 1)
+    rest = json.dumps({**record, "entries": []}, indent=2)
+    return rest.replace('"entries": []', f'"entries": [\n{body}\n  ]', 1)
 
 
 def build_count_table(n: int, m: int, kind: str = "p", base: str = "closed_form") -> CountTable:

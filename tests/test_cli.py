@@ -69,6 +69,21 @@ def test_count_k_all_emits_one_record_per_k(capsys):
     assert [r["value"] for r in records] == ["0", "30", "0", "6"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "p-ncycle", "--n", "1", "--k", "all"],
+    ["count", "i-ncycle", "--n", "1", "--k", "all"],
+    ["count", "p-lambda", "--lambda", "1", "--k", "all"],
+])
+def test_k_all_is_a_list_even_of_one_record(capsys, argv):
+    # the JSON shape follows the query, not the number of records
+    records = run_json(capsys, *argv)
+    assert isinstance(records, list)
+    assert [(r["query"]["k"], r["value"]) for r in records] == [(1, "1")]
+    # one k is one object
+    record = run_json(capsys, *argv[:-1], "1")
+    assert record == {**records[0], "time_seconds": record["time_seconds"]}
+
+
 def test_count_lambda_quantities(capsys, refuse_census):
     refuse_census()
     record = run_json(
@@ -256,6 +271,53 @@ def test_prob_decimal_rendering(capsys):
     assert code == 2
     assert "--decimal must be >= 0" in err
     assert out == ""
+
+
+PROB_FUNCTIONS = {"separation": "sep_prob_ncycle", "isolation": "iso_prob_ncycle",
+                  "fpf": "fpf_probability", "moments": "fixed_point_moments"}
+
+
+@pytest.mark.parametrize("quantity", [*PROB_FUNCTIONS, "alpha"])
+def test_prob_and_alpha_refuse_n_past_their_limit_before_any_value(capsys, monkeypatch,
+                                                                   quantity):
+    computed = []
+
+    def fake(*args):
+        computed.append(args)
+        return (Fraction(1), Fraction(0)) if quantity == "moments" else 1
+
+    if quantity == "alpha":  # --alpha N is the composition of N with one part
+        monkeypatch.setitem(cli.COUNTS, "alpha", (fake, *cli.COUNTS["alpha"][1:]))
+        argv = ["count", "alpha", "--alpha"]
+    else:
+        monkeypatch.setattr(counting, PROB_FUNCTIONS[quantity], fake)
+        m = ["--m", "1"] if quantity in ("separation", "isolation") else []
+        argv = ["prob", quantity, *m, "--n"]
+    limit = cli.ROW_MAX_N
+    code, out, err = run_cli(capsys, *argv, str(limit + 1))
+    assert (code, out, computed) == (2, "", [])
+    assert err == f"error: n must be <= {limit} for {quantity}, got {limit + 1}\n"
+    # the limit itself is accepted (a real fpf there takes seconds)
+    code, out, err = run_cli(capsys, *argv, str(limit))
+    assert code == 0, err
+    assert computed
+
+
+def test_decimal_refused_past_its_limit_before_any_value(capsys, monkeypatch):
+    computed = []
+
+    def fake(n, m):
+        computed.append((n, m))
+        return Fraction(11, 18)
+
+    monkeypatch.setattr(counting, "sep_prob_ncycle", fake)
+    limit = cli.DECIMAL_MAX
+    argv = ["prob", "separation", "--n", "4", "--m", "2", "--decimal"]
+    code, out, err = run_cli(capsys, *argv, str(limit + 1))
+    assert (code, out, computed) == (2, "", [])
+    assert err == f"error: --decimal must be >= 0 and <= {limit}, got {limit + 1}\n"
+    record = run_json(capsys, *argv, str(limit))
+    assert record["decimal"] == "0.6" + "1" * (limit - 1)
 
 
 def test_csv_and_json_values_agree(capsys):
@@ -600,6 +662,9 @@ def test_cli_spells_the_oracle_caps_and_verify_suites(monkeypatch):
     assert f"at most {cli.ROW_MAX_N}" in helps["count", "n"]
     assert f"at most {cli.TABLE_MAX_N}" in helps["count", "lambda"]
     assert f"at most {cli.TABLE_MAX_N}" in helps["table", "n"]
+    assert f"at most {cli.ROW_MAX_N}" in helps["prob", "n"]
+    assert f"at most {cli.ROW_MAX_N}" in helps["count", "alpha"]
+    assert f"at most {cli.DECIMAL_MAX}" in helps["prob", "decimal"]
     # the census limit is fixed: no command takes an option that moves it
     assert not {dest for _, dest in helps} & {"cap", "config"}
     # the rendered help keeps the limit on one line at the usual width
