@@ -36,7 +36,9 @@ import time
 from fractions import Fraction
 
 from . import counting
-from .partitions import Composition, IntegerPartition, PartitionParseError, partitions_of
+from .partitions import (
+    Composition, IntegerPartition, PartitionParseError, partition_size, partitions_of,
+)
 
 # count quantity -> (formula, the source it reports, the oracle query that
 # answers --source oracle or None, the subject flags it reads).  Each
@@ -213,11 +215,14 @@ def _run_count(args) -> dict | list[dict]:
 
     by_lambda = "lambda" in reads
     if by_lambda:
-        lam = IntegerPartition.from_string(getattr(args, "lambda"))
+        text = getattr(args, "lambda")
+        # sized from the text, so 1^100000000 is refused before its parts exist
+        _check_size(partition_size(text), TABLE_MAX_N, q)
+        lam = IntegerPartition.from_string(text)
     else:
+        _check_size(args.n, ROW_MAX_N, q)
         lam = IntegerPartition((args.n,))
     n = lam.n
-    _check_size(n, TABLE_MAX_N if by_lambda else ROW_MAX_N, q)
     if args.k == "all":
         ks = range(0 if q == "stirling" else 1, n + 1)
     else:

@@ -458,13 +458,16 @@ def fpf_probability(n: int) -> Fraction:
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    result = Fraction(0)
-    for j in range(0, n):
-        term = Fraction(n, (n - j) * factorial(j))
-        result += term if j % 2 == 0 else -term
-    last = Fraction(1, factorial(n - 1))
-    result += last if n % 2 == 0 else -last
-    return result
+    # inclusion-exclusion over the fixed j-sets, sum_j (-1)^j C(n, j)
+    # F(n, j) / T, at the common denominator (n-1)!: the j < n terms are
+    # the integers n! / (j! (n-j)), each stepped exactly from the next
+    # one, from n at j = n-1 down to (n-1)! at j = 0; j = n adds (-1)^n
+    term = n
+    numerator = (-1) ** n + (-1) ** (n - 1) * term  # j = n and j = n - 1
+    for j in range(n - 2, -1, -1):
+        term = exact_div(term * (j + 1) * (n - j - 1), n - j)
+        numerator += -term if j % 2 else term
+    return Fraction(numerator, term)
 
 
 def fixed_point_moments(n: int) -> tuple[Fraction, Fraction]:

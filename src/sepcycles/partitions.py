@@ -88,7 +88,10 @@ class IntegerPartition:
     def from_string(text: str) -> "IntegerPartition":
         """Parse ``3+2+1+1`` or multiplicity form ``1^2 2^1 3^1``."""
         if "^" in text:
-            return _parse_multiplicity_form(text)
+            parts: list[int] = []
+            for value, count in _multiplicity_terms(text):
+                parts.extend([value] * count)
+            return IntegerPartition(tuple(parts))
         return IntegerPartition(_parse_int_list(text, "+"))
 
 
@@ -182,8 +185,22 @@ def scan_ints(text: str, sep: str, pos: int = 0, end: int | None = None) -> list
             raise PartitionParseError(text, pos, f"unexpected character {text[pos]!r}")
 
 
-def _parse_multiplicity_form(text: str) -> IntegerPartition:
-    parts: list[int] = []
+def partition_size(text: str) -> int:
+    """The n of the partition :meth:`IntegerPartition.from_string` reads
+    from ``text``, learned from the numbers alone: a multiplicity form is
+    summed over its (value, multiplicity) terms, so ``1^100000000`` is
+    sized without building its parts.  Malformed text raises the same
+    :class:`PartitionParseError` as the parser.
+    """
+    if "^" in text:
+        return sum(value * count for value, count in _multiplicity_terms(text))
+    return sum(_parse_int_list(text, "+"))
+
+
+def _multiplicity_terms(text: str) -> list[tuple[int, int]]:
+    """The (value, multiplicity) terms of ``1^2 2^1 3^1``, in text order;
+    a text with a "^" has at least one."""
+    terms = []
     pos = 0
     length = len(text)
     while pos < length:
@@ -209,9 +226,8 @@ def _parse_multiplicity_form(text: str) -> IntegerPartition:
             raise PartitionParseError(text, value_start, "part values must be positive")
         if count < 1:
             raise PartitionParseError(text, start, "multiplicities must be positive")
-        parts.extend([value] * count)
-    # "^" in the text makes the loop read at least one term, so parts is non-empty
-    return IntegerPartition(tuple(parts))
+        terms.append((value, count))
+    return terms
 
 
 @lru_cache(maxsize=None)

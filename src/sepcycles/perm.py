@@ -19,11 +19,15 @@ Validation runs on user input only: the public constructor, ``from_cycles``
 and ``parse_permutation`` check their arguments, while results built from
 permutations that are already valid (composition, inverse, n-cycle
 enumeration) go through the unchecked ``Permutation._trusted``.
+
+Statistics computed once per instance (the cycle count here, the plane
+pair's horizontal, positions and diagonal in :mod:`sepcycles.plane`) are
+plain entries of the instance ``__dict__``, written on first read by the
+:class:`stored` descriptor: no lock and no ``functools.cached_property``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import permutations as _all_arrangements
 from typing import Iterable, Iterator, Sequence
 
@@ -124,6 +128,29 @@ def n_cycles0(n: int) -> Iterator[tuple[int, ...]]:
         yield from_cycles0(((0, *tail),), n)
 
 
+class stored:
+    """A statistic computed on first read and kept in the instance
+    ``__dict__``, which answers every later read directly: the
+    descriptor defines no ``__set__``, so the dict entry shadows it.
+
+    It takes no lock.  The values are pure functions of frozen fields,
+    so two threads racing on a first read at worst compute the same
+    value twice.  Equality, hashing and ``repr`` of a dataclass read its
+    fields only, so a stored entry leaves them alone.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class Permutation:
     images: tuple[int, ...]
@@ -174,7 +201,7 @@ class Permutation:
         """
         return cycles0((0, *self.images))[1:]
 
-    @cached_property
+    @stored
     def _cycle_count(self) -> int:
         return len(cycles0((0, *self.images))) - 1
 

@@ -15,9 +15,13 @@ So the NTAE count is the anti-exceedance count minus C(pi), the number
 of pi-cycles: one pass over the positions and no walk of its own.
 
 The diagonal is built in one pass from the sequence and the vertical,
-by its definition above.  Each permutation keeps its cycle count after
-the first walk, and the mirror's vertical D^-1 takes the count of D
-over, so a mirror check walks pi once and D once.
+by its definition above, and so is the doubled pair of ``hat``.  Each
+permutation keeps its cycle count after the first walk, and the mirror's
+vertical D^-1 takes the count of D over, so a mirror check walks pi once
+and D once.  The horizontal, the positions and the diagonal are kept on
+the pair the same way: plain entries of the instance ``__dict__``,
+written on first read by :class:`sepcycles.perm.stored`, with no lock
+and no ``functools.cached_property``.
 
 Validation runs on user input only: the public constructor checks the
 sequence and the vertical, while the moves (``reflect``, ``hat``,
@@ -27,11 +31,10 @@ valid through the unchecked ``PlanePermutation._trusted``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from operator import ge
 
 from .partitions import int_tuple
-from .perm import Permutation, from_cycles0, inverse0
+from .perm import Permutation, from_cycles0, inverse0, stored
 
 
 @dataclass(frozen=True)
@@ -67,12 +70,12 @@ class PlanePermutation:
     def n(self) -> int:
         return len(self.seq)
 
-    @cached_property
+    @stored
     def s(self) -> Permutation:
         """The upper horizontal as a permutation: seq[i] -> seq[i+1]."""
         return Permutation._trusted(from_cycles0((self.seq,), self.n + 1)[1:])
 
-    @cached_property
+    @stored
     def _pos(self) -> tuple[int, ...]:
         """_pos[x] = place of x in the sequence, counted from 1 (entry 0
         belongs to the prepended fixed 0)."""
@@ -86,7 +89,7 @@ class PlanePermutation:
                 raise ValueError(f"{x} is outside the ground set [{n}]")
         return self._pos[a] < self._pos[b]
 
-    @cached_property
+    @stored
     def _diagonal(self) -> Permutation:
         # the entry under s_{i-1} goes to s_i, cyclically
         seq, under = self.seq, self.pi.images
@@ -168,11 +171,19 @@ class PlanePermutation:
         The vertical restricted to companions (bars dropped) is conjugate
         to the diagonal of the original pair, hence shares its cycle type.
         """
-        n = self.n
-        new_seq = tuple(y for x in self.seq for y in (x, x + n))
-        companions = (self.pi.inverse() * self.s).images
-        images = self.pi.images + tuple(n + x for x in companions)
-        return PlanePermutation._trusted(new_seq, Permutation._trusted(images))
+        seq, under = self.seq, self.pi.images
+        n = len(seq)
+        doubled = [0] * (2 * n)
+        doubled[::2] = seq
+        doubled[1::2] = [x + n for x in seq]
+        # preimages under pi, 1-based (entry 0 belongs to the prepended 0)
+        inv = inverse0((0, *under))
+        images = [*under, *([0] * n)]
+        prev = seq[-1]
+        for x in seq:
+            images[n + prev - 1] = n + inv[x]  # s(prev) = x
+            prev = x
+        return PlanePermutation._trusted(tuple(doubled), Permutation._trusted(tuple(images)))
 
     def two_row_str(self, bar_from: int | None = None) -> str:
         """Render the two-row array; elements above bar_from print as

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 from math import factorial
@@ -443,6 +444,23 @@ def test_tables_refuse_n_past_their_limit_before_any_table(capsys, monkeypatch, 
     code, out, err = run_cli(capsys, *argv, str(limit))
     assert code == 0, err
     assert built
+
+
+def test_multiplicity_lambda_refused_before_its_parts_exist(capsys):
+    # n is summed over the (value, multiplicity) terms, so a huge
+    # multiplicity gets the refusal of --lambda 37 at flat memory
+    limit = cli.TABLE_MAX_N
+    code, _, err = run_cli(capsys, "count", "p-lambda", "--lambda", str(limit + 1), "--k", "1")
+    assert (code, err) == (2, f"error: n must be <= {limit} for p-lambda, got {limit + 1}\n")
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "count", "p-lambda", "--lambda", "1^100000000", "--k", "1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == f"error: n must be <= {limit} for p-lambda, got 100000000\n"
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("argv", [

@@ -684,6 +684,23 @@ def test_fpf_probability_values():
         fpf_probability(1)
 
 
+def fpf_fraction_series(n):
+    """The inclusion-exclusion as n + 1 Fractions added one by one, each
+    addition reduced: the form before the sum at one denominator."""
+    result = Fraction(0)
+    for j in range(0, n):
+        term = Fraction(n, (n - j) * factorial(j))
+        result += term if j % 2 == 0 else -term
+    last = Fraction(1, factorial(n - 1))
+    result += last if n % 2 == 0 else -last
+    return result
+
+
+def test_fpf_probability_matches_fraction_series():
+    for n in range(2, 150):
+        assert fpf_probability(n) == fpf_fraction_series(n)
+
+
 def test_fixed_point_distribution_structure():
     for n in range(2, 10):
         counts = fixed_point_pair_counts(n)

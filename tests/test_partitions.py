@@ -10,6 +10,7 @@ from sepcycles.partitions import (
     IntegerPartition,
     PartitionParseError,
     compositions_of,
+    partition_size,
     partitions_of,
     partitions_with_length,
 )
@@ -72,6 +73,19 @@ def test_partition_parse_errors_carry_position():
         assert IntegerPartition.from_string(text) == P(3, 1), text
     for text in ("1,2", "1 ,2", "1, 2"):
         assert Composition.from_string(text).parts == (1, 2), text
+
+
+def test_partition_size_reads_n_without_the_parts():
+    for text in ("3+2+1+1", " 3 + 1 ", "4", "1^2 2^1 3^1", "2^3", "5^1 1^4"):
+        assert partition_size(text) == IntegerPartition.from_string(text).n, text
+    assert partition_size("1^100000000 7^3") == 100000021
+    # malformed text fails as the parser does, at the same offset
+    for text in ("3+x+1", "3++1", "", "3+0", "0^2", "2^0 1^1", "1^", "1^2 x"):
+        with pytest.raises(PartitionParseError) as parsed:
+            IntegerPartition.from_string(text)
+        with pytest.raises(PartitionParseError) as sized:
+            partition_size(text)
+        assert str(sized.value) == str(parsed.value), text
 
 
 def test_partitions_of_counts_and_order():

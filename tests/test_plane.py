@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from collections import Counter
 from itertools import permutations
@@ -118,6 +120,19 @@ def test_one_pass_diagonal_matches_compose():
         assert pp.diagonal() == compose(pp.s, pp.pi.inverse())
 
 
+def test_stored_statistics_leave_value_semantics_alone():
+    pp = PlanePermutation((1, 3, 6, 2, 5, 4), Permutation((3, 1, 4, 6, 2, 5)))
+    fresh = PlanePermutation(pp.seq, Permutation(pp.pi.images))
+    reads = (pp.s, pp.diagonal(), pp.ntae_count(), pp.reflect(), pp.hat())
+    # plain instance-dict entries, written by the lock-free descriptor
+    assert {"s", "_pos", "_diagonal"} <= set(vars(pp))
+    for name in ("s", "_pos", "_diagonal"):
+        assert type(vars(PlanePermutation)[name]) is perm_module.stored
+    for q in (pp, copy.copy(pp), pickle.loads(pickle.dumps(pp))):
+        assert q == fresh and hash(q) == hash(fresh) and repr(q) == repr(fresh)
+        assert (q.s, q.diagonal(), q.ntae_count(), q.reflect(), q.hat()) == reads
+
+
 def test_stored_cycle_counts_match_walked_cycles():
     for pp in sampled_plane_permutations():
         pp.ntae_count()
@@ -152,6 +167,16 @@ def test_ntae_count_matches_classification_sampled_n8():
         pp = random_plane_permutation(8, rng)
         for q in (pp, pp.reflect()):
             assert q.ntae_count() == len(q.classify_elements()[2])
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_mirror_ntae_count_matches_classification(n):
+    # the mirror's count is its own anti-exceedances less the C(D^-1) it
+    # took over from D; the classification walks D^-1's cycles itself
+    rng = random.Random(n)
+    for _ in range(500):
+        mirror = random_plane_permutation(n, rng).reflect()
+        assert mirror.ntae_count() == len(mirror.classify_elements()[2])
 
 
 def test_precedes_rejects_points_outside_ground_set():
@@ -315,6 +340,26 @@ def test_hat_small_case():
     d = out.diagonal()
     assert d.cycle_type().parts == (2, 2)
     assert not d.fixed_points()
+
+
+def compose_hat(pp):
+    """The doubled pair as built before the one-pass ``hat``: companion
+    images n + pi^-1(s(x)) read off the composed pi^-1 * s."""
+    n = pp.n
+    new_seq = tuple(y for x in pp.seq for y in (x, x + n))
+    companions = (pp.pi.inverse() * pp.s).images
+    images = pp.pi.images + tuple(n + x for x in companions)
+    return PlanePermutation(new_seq, Permutation(images))
+
+
+def test_one_pass_hat_matches_compose():
+    cases = [pp for n in range(1, 6) for pp in all_plane_permutations(n)]
+    for n in (16, 64):
+        rng = random.Random(n)
+        cases += [random_plane_permutation(n, rng) for _ in range(200)]
+    for pp in cases:
+        out, reference = pp.hat(), compose_hat(pp)
+        assert (out.seq, out.pi.images) == (reference.seq, reference.pi.images)
 
 
 def test_hat_structure_exhaustive():
