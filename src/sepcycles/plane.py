@@ -178,7 +178,7 @@ class PlanePermutation:
         doubled[1::2] = [x + n for x in seq]
         # preimages under pi, 1-based (entry 0 belongs to the prepended 0)
         inv = inverse0((0, *under))
-        images = [*under, *([0] * n)]
+        images = list(under) + [0] * n
         prev = seq[-1]
         for x in seq:
             images[n + prev - 1] = n + inv[x]  # s(prev) = x

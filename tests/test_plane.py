@@ -1,6 +1,8 @@
 import copy
 import pickle
 import random
+import sys
+import threading
 from collections import Counter
 from itertools import permutations
 
@@ -131,6 +133,35 @@ def test_stored_statistics_leave_value_semantics_alone():
     for q in (pp, copy.copy(pp), pickle.loads(pickle.dumps(pp))):
         assert q == fresh and hash(q) == hash(fresh) and repr(q) == repr(fresh)
         assert (q.s, q.diagonal(), q.ntae_count(), q.reflect(), q.hat()) == reads
+
+
+def test_stored_statistics_race_to_equal_values():
+    # no lock: threads racing on first reads may each compute a value,
+    # and every read must still see the one value of the pair
+    rng = random.Random(4)
+    shared = [random_plane_permutation(16, rng) for _ in range(300)]
+
+    def reads(pp):
+        return pp.s, pp.diagonal(), pp.pi.cycle_count(), pp.ntae_count(), pp.reflect().ntae_count()
+
+    expected = [reads(PlanePermutation(pp.seq, Permutation(pp.pi.images))) for pp in shared]
+    results = [None] * 6
+
+    def worker(i):
+        results[i] = [reads(pp) for pp in shared]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(results))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected] * len(results)
 
 
 def test_stored_cycle_counts_match_walked_cycles():
